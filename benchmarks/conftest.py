@@ -133,12 +133,10 @@ def bench_meta(name: str) -> dict:
 def emit_bench(name: str, payload: dict) -> str:
     """Persist a machine-readable benchmark result — the ONE emitter.
 
-    Written twice: ``BENCH_<name>.json`` at the repo root (what CI
-    uploads as an artifact and diff-checks across runs) and a copy under
-    ``benchmarks/results/`` next to the human-readable tables.  Every
-    bench and sweep script goes through here so the naming scheme,
-    serialisation (sorted keys, trailing newline) and destinations can
-    never drift apart.
+    Written once, as ``BENCH_<name>.json`` at the repo root (what CI
+    uploads as an artifact and diff-checks across runs).  Every bench
+    and sweep script goes through here so the naming scheme and
+    serialisation (sorted keys, trailing newline) can never drift apart.
 
     A ``bench_meta`` provenance key (name, stamp schema version, git
     SHA, cpu count) is merged into every payload so
@@ -151,10 +149,4 @@ def emit_bench(name: str, payload: dict) -> str:
     text = json.dumps(stamped, indent=2, sort_keys=True) + "\n"
     root = pathlib.Path(__file__).parent.parent
     (root / f"BENCH_{name}.json").write_text(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.json").write_text(text)
     return text
-
-
-# Back-compat alias for external scripts pinned to the old name.
-emit_bench_json = emit_bench

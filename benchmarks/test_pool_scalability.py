@@ -87,7 +87,7 @@ def test_pool_scaling(benchmark, world, fig9a, backend):
         "pool_scaling",
         "Claim C5: document pool scaling (real ms per op)",
         ["documents", "get (ms)", "todo search (ms)", "regions",
-         "MapReduce makespan (s)"],
+         "MapReduce makespan (sim s)"],
         rows,
     )
 

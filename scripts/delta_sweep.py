@@ -19,7 +19,7 @@ import subprocess
 import sys
 
 # The sweep persists through the benchmark suite's single emitter, so
-# root artifacts and benchmarks/results/ copies never drift apart.
+# its naming and serialisation never drift from the benches.
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent
                        / "benchmarks"))
 from conftest import emit_bench  # noqa: E402

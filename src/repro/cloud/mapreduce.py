@@ -5,15 +5,16 @@ some statistical analyses to workflow processes or instances stored in
 the DRA4WfMS cloud system."  The engine runs one map task per region
 (that is how HBase scans parallelise), shuffles by key, and reduces.
 
-Parallelism is simulated: every map task's real compute time is
-measured, and the job's *simulated makespan* is the maximum over the
-map waves plus the reduce time — what a cluster with one slot per
-region server would achieve.
+Parallelism is simulated: every map task is charged the cluster
+network's transfer time for the cell bytes its region scans, the reduce
+step one network latency, and the job's *simulated makespan* is the
+longest-task-first schedule of the map tasks over one slot per region
+server plus the reduce charge.  No host timer is read, so same-input
+jobs advance the simulated clock identically.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, TypeVar
 
@@ -39,7 +40,7 @@ class JobStats:
     input_rows: int = 0
     shuffled_records: int = 0
     reduce_groups: int = 0
-    #: Sum of real compute seconds across all tasks.
+    #: Sum of simulated seconds across all map tasks and the reduce.
     total_compute_seconds: float = 0.0
     #: Simulated parallel completion time.
     simulated_makespan_seconds: float = 0.0
@@ -64,20 +65,22 @@ class MapReduceEngine:
 
         regions = self.hbase.regions_of(table)
         slots = max(len(self.hbase.servers), 1)
+        network = self.hbase.network
         for region in regions:
-            start = time.perf_counter()
+            scanned = 0
             for row_key in region.sorted_keys():
                 row = {
                     cq: cell.value for cq, cell in region.rows[row_key].items()
                 }
+                scanned += sum(len(value) for value in row.values())
                 stats.input_rows += 1
                 for key, value in map_fn(row_key, row):
                     intermediate.setdefault(key, []).append(value)
                     stats.shuffled_records += 1
-            elapsed = time.perf_counter() - start
+            task_seconds = network.transfer_seconds(scanned)
             stats.map_tasks += 1
-            stats.map_task_seconds.append(elapsed)
-            stats.total_compute_seconds += elapsed
+            stats.map_task_seconds.append(task_seconds)
+            stats.total_compute_seconds += task_seconds
 
         # Simulated makespan: greedy longest-processing-time schedule of
         # map tasks onto the region servers' slots.
@@ -86,12 +89,11 @@ class MapReduceEngine:
             loads[loads.index(min(loads))] += task
         map_makespan = max(loads) if loads else 0.0
 
-        reduce_start = time.perf_counter()
         results = {
             key: reduce_fn(key, values)
             for key, values in intermediate.items()
         }
-        reduce_seconds = time.perf_counter() - reduce_start
+        reduce_seconds = network.latency_seconds
         stats.total_compute_seconds += reduce_seconds
         stats.reduce_groups = len(results)
         stats.simulated_makespan_seconds = map_makespan + reduce_seconds

@@ -62,8 +62,6 @@ class CloudSystem:
                  verify_cache: VerificationCache | None = None,
                  clock: SimClock | None = None,
                  delta_routing: bool = False,
-                 verify_workers: int | None = None,
-                 verify_batch: bool | None = None,
                  placement: str = "round-robin",
                  placement_vnodes: int | None = None,
                  chunk_replicas: int | None = None,
@@ -96,13 +94,6 @@ class CloudSystem:
         #: newly appended CERs anywhere else in the cloud.  ``None``
         #: (default) keeps every verification cold.
         self.verify_cache = verify_cache
-        #: Batched RSA verification knobs shared by this cloud's TFC and
-        #: portals: *verify_workers* > 1 threads independent RSA checks,
-        #: *verify_batch* forces the single-dispatch ``verify_batch()``
-        #: path even single-threaded.  Accept/reject behaviour is
-        #: unchanged either way.
-        self.verify_workers = verify_workers
-        self.verify_batch = verify_batch
         #: LRU byte budget for every client's peer chunk cache (delta
         #: mode).  ``None`` (default) keeps the historic unbounded
         #: cache; 0 is a degenerate-but-legal budget (the cache still
@@ -129,8 +120,6 @@ class CloudSystem:
             tfc_keypair, directory, backend=self.backend,
             clock=self.clock.now,
             verify_cache=verify_cache,
-            verify_workers=verify_workers,
-            verify_batch=verify_batch,
         )
         self.portals = [
             PortalServer(
@@ -143,8 +132,6 @@ class CloudSystem:
                 network=WAN,
                 backend=self.backend,
                 verify_cache=verify_cache,
-                verify_workers=verify_workers,
-                verify_batch=verify_batch,
             )
             for i in range(portals)
         ]

@@ -21,19 +21,12 @@ from .pure.sha256 import sha256
 __all__ = [
     "CryptoBackend",
     "PureBackend",
-    "VerifyJob",
     "default_backend",
-    "dispatch_verify_batch",
-    "sequential_verify_batch",
     "set_default_backend",
 ]
 
 #: Symmetric data-key size in bytes (AES-128) used for element encryption.
 DATA_KEY_BYTES = 16
-
-#: One batched verification job: ``(public_key, message, signature,
-#: algorithm)`` where *algorithm* is ``"pkcs1v15"`` or ``"pss"``.
-VerifyJob = tuple[RsaPublicKey, bytes, bytes, str]
 
 
 @runtime_checkable
@@ -63,18 +56,6 @@ class CryptoBackend(Protocol):
     def verify_pss(self, key: RsaPublicKey, message: bytes,
                    signature: bytes) -> None:
         """Verify a PSS signature; raise ``SignatureError`` on mismatch."""
-
-    def verify_batch(self, jobs: "list[VerifyJob]",
-                     workers: int | None = None) -> list[Exception | None]:
-        """Verify many signatures in one dispatch.
-
-        Returns one entry per job, in job order: ``None`` for a valid
-        signature, the verification exception otherwise.  Never raises
-        for an invalid signature — batching must not change *which*
-        failure a caller surfaces, so every outcome is reported in
-        place.  *workers* is a hint: implementations may fan the
-        independent checks across that many threads.
-        """
 
     def wrap_key(self, key: RsaPublicKey, data_key: bytes) -> bytes:
         """Encrypt a symmetric data key to *key* (RSAES-PKCS1-v1_5)."""
@@ -139,13 +120,6 @@ class PureBackend:
                    signature: bytes) -> None:
         key.verify_pss(message, signature)
 
-    def verify_batch(self, jobs: list[VerifyJob],
-                     workers: int | None = None) -> list[Exception | None]:
-        # Pure-Python modular exponentiation holds the GIL, so threads
-        # cannot help; the batch degrades to an in-order loop with the
-        # same per-job outcome contract.
-        return sequential_verify_batch(self, jobs)
-
     def wrap_key(self, key: RsaPublicKey, data_key: bytes) -> bytes:
         return key.encrypt(data_key, self._rng)
 
@@ -175,44 +149,6 @@ class PureBackend:
             raise DecryptionError("GCM blob too short")
         return gcm_decrypt(data_key, sealed[:12], sealed[12:-16],
                            sealed[-16:], aad)
-
-
-def _verify_one(backend: CryptoBackend, job: VerifyJob) -> Exception | None:
-    public_key, message, signature, algorithm = job
-    try:
-        if algorithm == "pss":
-            backend.verify_pss(public_key, message, signature)
-        elif algorithm == "pkcs1v15":
-            backend.verify(public_key, message, signature)
-        else:
-            raise ValueError(f"unknown batch algorithm {algorithm!r}")
-    except Exception as exc:
-        return exc
-    return None
-
-
-def sequential_verify_batch(backend: CryptoBackend,
-                            jobs: list[VerifyJob]) -> list[Exception | None]:
-    """Reference batch implementation: in-order, one check per job."""
-    return [_verify_one(backend, job) for job in jobs]
-
-
-def dispatch_verify_batch(backend: CryptoBackend,
-                          jobs: list[VerifyJob],
-                          workers: int | None = None,
-                          ) -> list[Exception | None]:
-    """Run *jobs* through the backend's batch verifier.
-
-    Falls back to the sequential reference loop for backends that
-    predate :meth:`CryptoBackend.verify_batch` (third-party test
-    doubles), so callers can batch unconditionally.
-    """
-    if not jobs:
-        return []
-    method = getattr(backend, "verify_batch", None)
-    if method is None:
-        return sequential_verify_batch(backend, jobs)
-    return method(jobs, workers=workers)
 
 
 _default: CryptoBackend | None = None

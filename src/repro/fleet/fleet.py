@@ -49,7 +49,13 @@ from ..crypto.keys import KeyPair
 from ..document.builder import build_initial_document
 from ..document.vcache import VerificationCache
 from ..document.verify import verify_document
-from ..errors import FleetError, JoinNotReady
+from ..errors import (
+    DocumentFormatError,
+    FleetError,
+    JoinNotReady,
+    VerificationError,
+    XmlSecError,
+)
 from ..model.controlflow import JoinKind
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
@@ -66,6 +72,14 @@ TFC_IDENTITY = "tfc@cloud.example"
 
 #: Visit order of captured components within one operation.
 _STAGE_ORDER = ("portal", "pool", "notify")
+
+#: What a cold audit counts as a failed verification: the rejections
+#: :func:`verify_document` raises for a hostile document.  Every case
+#: of the tamper matrix is a :class:`VerificationError`; malformed
+#: base64 fails closed as :class:`XmlSecError` and a CER stripped of
+#: its ``<Signature>`` as :class:`DocumentFormatError`.  Anything else
+#: (a bug, a backend fault) propagates out of the run.
+AUDIT_REJECTIONS = (VerificationError, XmlSecError, DocumentFormatError)
 
 
 @dataclass(frozen=True)
@@ -84,11 +98,6 @@ class FleetConfig:
     aea_workers: int = 1
     #: Cold-re-verify every Nth completed instance (0 disables).
     audit_every: int = 25
-    #: Batched RSA verification knobs for audits and the cloud's
-    #: TFC/portal verifies (see :func:`verify_document`).  ``None``
-    #: keeps the sequential path.
-    verify_workers: int | None = None
-    verify_batch: bool | None = None
     costs: CryptoCostModel = field(default_factory=CryptoCostModel)
     #: Hard stop against runaway event loops.
     max_events: int = 5_000_000
@@ -543,10 +552,8 @@ class Fleet:
                     document, self.system.directory, self.system.backend,
                     definition_reader=(self.system.tfc.identity,
                                        self.system.tfc.keypair.private_key),
-                    workers=self.config.verify_workers,
-                    batch=self.config.verify_batch,
                 )
-            except Exception:
+            except AUDIT_REJECTIONS:
                 self._audit_failures += 1
 
     # -- main loop ------------------------------------------------------------
@@ -757,8 +764,6 @@ def build_fleet(workload: FleetWorkload,
         backend=world.backend,
         verify_cache=VerificationCache() if shared_cache else None,
         delta_routing=delta_routing,
-        verify_workers=config.verify_workers,
-        verify_batch=config.verify_batch,
         placement=placement,
         chunk_replicas=chunk_replicas,
         split_threshold_rows=split_threshold_rows,

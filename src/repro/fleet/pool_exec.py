@@ -31,9 +31,8 @@ Design constraints that shape the code:
 
 The audit hook cold-verifies every ``audit_every``-th instance *by
 index* (the simulated fleet audits by completion order, which is not
-stable under real concurrency) and forwards the batched-verification
-knobs, so ``--real`` load tests exercise ``verify_batch()`` under true
-parallelism.
+stable under real concurrency) and counts the same rejections as the
+simulated fleet's audit (:data:`~repro.fleet.fleet.AUDIT_REJECTIONS`).
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from ..document.verify import verify_document
 from ..errors import CloudError, JoinNotReady
 from ..obs.tracer import Tracer
 from ..workloads.participants import World, build_world
-from .fleet import TFC_IDENTITY
+from .fleet import AUDIT_REJECTIONS, TFC_IDENTITY
 from .report import RealFleetReport
 from .workload import FleetWorkload, workload_from_spec
 
@@ -75,9 +74,6 @@ class RealFleetConfig:
     audit_every: int = 25
     #: Delta document routing inside each instance's cloud.
     delta_routing: bool = False
-    #: Batched RSA verification knobs (see :func:`verify_document`).
-    verify_workers: int | None = None
-    verify_batch: bool | None = None
     #: RSA modulus for the generated world (when none is supplied).
     bits: int = 1024
     #: Portals / region servers per per-instance cloud.
@@ -195,8 +191,6 @@ def _run_instance(index: int) -> InstanceResult:
     workload: FleetWorkload = _WORKER["workload_obj"]  # type: ignore[assignment]
     seed = int(_WORKER["seed"])  # type: ignore[arg-type]
     audit_every = int(_WORKER["audit_every"])  # type: ignore[arg-type]
-    verify_workers = _WORKER["verify_workers"]
-    verify_batch = _WORKER["verify_batch"]
 
     start = time.perf_counter()
     # Fresh per-INSTANCE cloud: determinism must not depend on which
@@ -209,8 +203,6 @@ def _run_instance(index: int) -> InstanceResult:
         backend=world.backend,
         verify_cache=VerificationCache(),
         delta_routing=bool(_WORKER["delta_routing"]),
-        verify_workers=verify_workers,  # type: ignore[arg-type]
-        verify_batch=verify_batch,  # type: ignore[arg-type]
         placement=str(_WORKER["placement"]),
         chunk_replicas=_WORKER["chunk_replicas"],  # type: ignore[arg-type]
         split_threshold_rows=int(_WORKER["split_threshold_rows"]),  # type: ignore[arg-type]
@@ -242,10 +234,8 @@ def _run_instance(index: int) -> InstanceResult:
                         document, system.directory, system.backend,
                         definition_reader=(system.tfc.identity,
                                            system.tfc.keypair.private_key),
-                        workers=verify_workers,  # type: ignore[arg-type]
-                        batch=verify_batch,  # type: ignore[arg-type]
                     )
-                except Exception:
+                except AUDIT_REJECTIONS:
                     audit_failed = True
         finally:
             if trace_span is not None:
@@ -301,8 +291,6 @@ def run_real_fleet(config: RealFleetConfig,
         "seed": config.seed,
         "audit_every": config.audit_every,
         "delta_routing": config.delta_routing,
-        "verify_workers": config.verify_workers,
-        "verify_batch": config.verify_batch,
         "portals": config.portals,
         "region_servers": config.region_servers,
         "placement": config.placement,

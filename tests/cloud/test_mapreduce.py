@@ -70,3 +70,35 @@ def test_empty_table():
     assert results == {}
     assert stats.input_rows == 0
     assert stats.map_tasks == 1
+
+
+def test_charges_are_sim_time_deterministic():
+    """Map tasks cost the bytes their region scans, never host time."""
+
+    def build():
+        hbase = SimHBase(region_servers=3, split_threshold_rows=10)
+        hbase.create_table("events")
+        for i in range(50):
+            hbase.put("events", f"e{i:03d}", "d", "value", str(i).encode())
+        return hbase
+
+    def map_fn(row_key, row):
+        yield "total", int(row[("d", "value")])
+
+    first, second = build(), build()
+    _, stats_a = MapReduceEngine(first).run("events", map_fn,
+                                            lambda key, values: sum(values))
+    _, stats_b = MapReduceEngine(second).run("events", map_fn,
+                                             lambda key, values: sum(values))
+    assert stats_a == stats_b
+    assert first.clock.now() == second.clock.now()
+    network = first.network
+    expected = [
+        network.transfer_seconds(sum(
+            len(cell.value) for cells in region.rows.values()
+            for cell in cells.values()))
+        for region in first.regions_of("events")
+    ]
+    assert sorted(stats_a.map_task_seconds) == sorted(expected)
+    assert stats_a.simulated_makespan_seconds >= (
+        max(expected) + network.latency_seconds)

@@ -1,13 +1,10 @@
-"""The tamper-matrix case registry, shared by two suites.
+"""The tamper-matrix case registry.
 
 Each :class:`TamperCase` is one adversarial mutation of a fully
 executed document: sections × mutation kinds, exactly the sweep
-``test_tamper_matrix.py`` runs against the verification cache.  The
-cases live here — not inline in that module — so the batched-
-verification differential suite (``test_batch_differential.py``) can
-replay the *same* attacks and assert that batched RSA verification
-reaches the same verdict, with the same failing-signature attribution,
-as the sequential path.
+``test_tamper_matrix.py`` runs against the verification cache.
+:func:`flip_base64` is also used by the random-topology property in
+``tests/integration/test_fuzz_workflows.py`` and the fleet audit tests.
 
 A case's ``apply(document, donor)`` mutates *document* in place;
 ``donor`` names which pristine sibling document the mutation grafts

@@ -16,8 +16,7 @@ advanced model — TFC timestamp) apply each mutation kind:
   workflow), the classic substitution attack against a cache keyed too
   loosely.
 
-The mutations themselves live in the :mod:`tamper_cases` registry
-(shared with the batched-verification differential suite).  Every
+The mutations themselves live in the :mod:`tamper_cases` registry.  Every
 mutation must be rejected twice: by a cold verification and by a
 verification running against a cache **pre-warmed on the pristine
 document** — with the *same* exception type and message.  A cache hit

@@ -9,10 +9,10 @@ Two guarantees anchor the multiprocess execution path:
    all instances or several split them.  Only host measurements
    (wall seconds, cpu count) may differ.
 
-2. **The simulated fleet is untouched.**  Real mode, batched
-   verification and the chunker memoisation must not change a single
-   byte of the discrete-event :class:`FleetReport` — pinned here
-   against committed golden files from the run that introduced them.
+2. **The simulated fleet is untouched.**  Real mode and the chunker
+   memoisation must not change a single byte of the discrete-event
+   :class:`FleetReport` — pinned here against committed golden files
+   from the run that introduced them.
 """
 
 from __future__ import annotations
@@ -98,14 +98,6 @@ class TestWorkerCountIndependence:
         assert serial.deterministic_dict() == pooled.deterministic_dict()
         assert serial.routing == "delta"
 
-    def test_batched_verification_same_aggregates(self, real_world,
-                                                  serial_and_pooled):
-        """Batched RSA verification changes no deterministic quantity."""
-        serial, _ = serial_and_pooled
-        batched = run_real(2, real_world, verify_workers=2,
-                           verify_batch=True)
-        assert batched.deterministic_dict() == serial.deterministic_dict()
-
 
 class TestRealModeValidation:
     def test_zero_workers_rejected(self, real_world):
@@ -124,7 +116,7 @@ class TestRealModeValidation:
 
 class TestSimModeGoldens:
     """The event-driven fleet still reports byte-for-byte what it did
-    before batching/memoisation/real mode existed."""
+    before memoisation/real mode existed."""
 
     def run_sim(self, delta: bool):
         fleet = build_fleet(

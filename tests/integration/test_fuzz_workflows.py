@@ -11,7 +11,9 @@ document.
 
 Seeds are fixed so failures reproduce; the topologies come from
 :func:`repro.workloads.generator.random_definition`, which composes
-valid workflows by construction.
+valid workflows by construction.  A Hypothesis property adds random
+chain/diamond topologies: each verifies pristine and is rejected after
+one flipped ``SignatureValue``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.document import build_initial_document
 from repro.document.amendments import DelegateActivity, GrantReader
 from repro.document.vcache import VerificationCache
 from repro.document.verify import verify_document
+from repro.errors import TamperDetected, VerificationError
 from repro.workloads import build_world
 from repro.workloads.generator import (
     auto_responders,
@@ -32,6 +35,15 @@ from repro.workloads.generator import (
     participant_pool,
     random_definition,
 )
+
+from ..document.tamper_cases import flip_base64
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - hypothesis ships with the image
+    HAVE_HYPOTHESIS = False
 
 DESIGNER = "designer@enterprise.example"
 TFC_IDENTITY = "tfc@cloud.example"
@@ -209,3 +221,46 @@ class TestSharedCacheAcrossInstances:
                 warm = verify_document(document, fuzz_world.directory,
                                        backend, cache=cache)
                 assert warm == cold
+
+
+# -- random topologies, pristine vs one flipped signature (property) ---------
+
+#: (kind, size, pool) → executed document; executions are the expensive
+#: part, so repeated Hypothesis examples share one run per topology.
+_executed: dict[tuple[str, int, int], object] = {}
+
+
+def _executed_document(fuzz_world, backend, kind: str, size: int,
+                       pool: int):
+    key = (kind, size, pool)
+    document = _executed.get(key)
+    if document is None:
+        maker = chain_definition if kind == "chain" else diamond_definition
+        definition = maker(size, participant_pool(pool), designer=DESIGNER)
+        _, trace, _ = _run(fuzz_world, backend, definition, "basic")
+        document = _executed[key] = trace.final_document
+    return document
+
+
+if HAVE_HYPOTHESIS:
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(["chain", "diamond"]),
+        size=st.integers(min_value=2, max_value=5),
+        pool=st.integers(min_value=1, max_value=4),
+        tamper_at=st.one_of(st.none(), st.integers(min_value=0,
+                                                   max_value=31)),
+    )
+    def test_random_topologies_verdict(fuzz_world, backend, kind, size,
+                                       pool, tamper_at):
+        """Pristine documents verify; one flipped signature is rejected."""
+        pristine = _executed_document(fuzz_world, backend, kind, size, pool)
+        document = pristine.clone()
+        if tamper_at is None:
+            verify_document(document, fuzz_world.directory, backend)
+            return
+        values = document.root.findall(".//CER/Signature/SignatureValue")
+        flip_base64(values[tamper_at % len(values)])
+        with pytest.raises((TamperDetected, VerificationError)):
+            verify_document(document, fuzz_world.directory, backend)
