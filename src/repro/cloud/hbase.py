@@ -644,6 +644,11 @@ class CerChunkStore:
 
     TABLE = "dra4wfms_chunks"
 
+    #: Sweeps so far that deleted at least one chunk.  Knowledge of what
+    #: the store holds, learned before the epoch last changed, may name
+    #: collected chunks (see ``CloudClient._cloud_holds``).
+    gc_epoch = 0
+
     def __init__(self, hbase: SimHBase) -> None:
         self.hbase = hbase
         if not hbase.has_table(self.TABLE):
@@ -760,6 +765,8 @@ class CerChunkStore:
                 reclaimed += size
                 self.stats["unique_chunks"] -= 1
                 self.stats["unique_bytes"] -= size
+            if dead:
+                self.gc_epoch += 1
             self.lifecycle["gc_runs"] += 1
             self.lifecycle["gc_chunks_deleted"] += len(dead)
             self.lifecycle["gc_bytes_reclaimed"] += reclaimed

@@ -313,8 +313,8 @@ class PortalServer:
         passes its (digest-checked) *manifest*/*chunks* so the parsed
         document's canonical memo starts warm: the TFC-finalise, merge
         and re-store steps then re-serialize only the new CER instead
-        of the whole history.  Verification never reads the memo, so
-        this changes no accept/reject decision.
+        of the whole history.  Verification reads only the memo it
+        builds itself, so this changes no accept/reject decision.
         """
         document = Dra4wfmsDocument.from_bytes(data)
         if manifest is not None and chunks is not None:

@@ -291,7 +291,9 @@ class CloudClient:
         self._own_chunks: dict[str, set[str]] = {}
         #: Chunk digests the cloud side is known to hold (it sent them
         #: to us, or accepted them from us) — what submits diff against.
+        #: Valid only under the chunk-store GC epoch it was learned in.
         self._cloud_known: set[str] = set()
+        self._known_epoch = 0
         #: Wire accounting for the fleet/benchmark reports.
         self.bytes_received = 0
         self.bytes_sent = 0
@@ -376,9 +378,25 @@ class CloudClient:
         # The new manifest covers every chunk we submitted before this
         # retrieve, so the have-digest subsumes the own-chunk list.
         self._own_chunks.pop(process_id, None)
-        # Everything in the manifest lives in the cloud's chunk store.
-        self._cloud_known.update(delta.manifest.chunk_digests)
+        # Everything in the manifest lives in the cloud's chunk store,
+        # pinned by the process's stored version.
+        self._cloud_holds(portal).update(delta.manifest.chunk_digests)
         return data, delta.manifest
+
+    def _cloud_holds(self, portal: PortalServer) -> set[str]:
+        """Chunk digests the cloud still holds, as far as we know.
+
+        A GC sweep deletes every chunk no live manifest pins, shared
+        glue chunks of finished instances included, so what we learned
+        before the sweep is forgotten: leaving a collected chunk out of
+        a submit would force a full re-send.  Chunks of the process at
+        hand are re-learned from its manifest on the next retrieve.
+        """
+        epoch = portal.pool.chunks.gc_epoch
+        if epoch != self._known_epoch:
+            self._cloud_known.clear()
+            self._known_epoch = epoch
+        return self._cloud_known
 
     def retrieve_document(self, process_id: str) -> Dra4wfmsDocument:
         """Latest document, parsed — memo-warm in delta mode.
@@ -404,7 +422,7 @@ class CloudClient:
             self.bytes_sent += len(data)
             return portal.submit(session, data)
         with self.system.clock.trace("delta.encode", "delta"):
-            delta = encode_delta(document, known=self._cloud_known)
+            delta = encode_delta(document, known=self._cloud_holds(portal))
         try:
             entries = portal.submit_delta(session, delta)
         except DeltaFallbackRequired:

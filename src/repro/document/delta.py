@@ -372,8 +372,9 @@ def seed_chunks(document: Dra4wfmsDocument, manifest: Manifest,
     starts cold and re-serializes the whole history on its next
     chunking or merge.
 
-    This is a producer-side optimisation only: verification never reads
-    the memo.  *chunks* is any digest→bytes mapping (``dict`` or
+    This is a producer-side optimisation only: verification reads no
+    memo but the one it builds in its own pass.  *chunks* is any
+    digest→bytes mapping (``dict`` or
     :class:`ChunkCache`); missing digests just leave those entries cold.
     Structural mismatch (CER count differs from the manifest) silently
     seeds nothing.

@@ -37,6 +37,16 @@ from .sections import (
 __all__ = ["Dra4wfmsDocument", "new_process_id"]
 
 
+def _shallow_copy(element: ET.Element) -> ET.Element:
+    """New element with *element*'s tag, attributes, text and tail,
+    whose children are *element*'s children themselves (not copies)."""
+    copied = element.makeelement(element.tag, element.attrib)
+    copied.text = element.text
+    copied.tail = element.tail
+    copied.extend(element)
+    return copied
+
+
 def new_process_id() -> str:
     """Fresh globally-unique process id (replay-attack resistance, §2.1)."""
     return uuid.uuid4().hex
@@ -55,7 +65,8 @@ class Dra4wfmsDocument:
         # surface is append_cer/merge (which invalidate the stale
         # entries); code that mutates ``self.root`` behind the
         # document's back must call drop_canonical_cache() before the
-        # next serialization.
+        # next serialization, and must not hold a tree that shares
+        # subtrees with another document (see clone_for_append).
         self._memo = CanonicalMemo()
 
     # -- serialization ---------------------------------------------------------
@@ -90,30 +101,36 @@ class Dra4wfmsDocument:
         return len(self.to_bytes())
 
     def clone(self) -> "Dra4wfmsDocument":
-        """Deep, independent copy (routing must never share mutable trees).
+        """Deep, independent copy: the one to mutate directly.
 
-        The clone starts with a *cold* canonical memo: clones are the
-        designated way to obtain a mutable copy (tamper simulations,
-        branch documents), and inherited cache entries would go stale
-        under direct tree edits.  The clone rebuilds its memo on first
-        serialization.
+        The clone starts with a *cold* canonical memo and shares no
+        element with this document: clones are the designated way to
+        obtain a mutable copy (tamper simulations, tests), and inherited
+        cache entries would go stale under direct tree edits.  The clone
+        rebuilds its memo on first serialization.
         """
         return Dra4wfmsDocument(copy.deepcopy(self.root))
 
     def clone_for_append(self) -> "Dra4wfmsDocument":
-        """Deep copy that inherits this document's canonical memo.
+        """Copy for appending that shares every unchanged subtree.
 
-        For the hot hop path (execute → append CER → serialize), where
-        the copy is only ever mutated through :meth:`append_cer`/
-        :meth:`merge` — which maintain the memo invalidation contract —
-        a cold memo would force an O(document) re-serialization per hop.
-        ``copy.deepcopy`` preserves tree structure, so the memo is
-        transferred by :meth:`CanonicalMemo.remap` at zero serialization
-        cost.  Code that mutates the copy's tree directly must use
-        :meth:`clone` (or call :meth:`drop_canonical_cache`).
+        For the hot hop path (execute → append CER → serialize): the
+        copy gets a new root and a new results section whose children
+        are the *same* CER elements, and shares the header and the
+        application definition too, so cloning costs O(1 CER) instead
+        of O(document).  The memo entries of every shared subtree stay
+        valid and are copied; only those of the replaced root and
+        results section are left out.  :meth:`append_cer` and
+        :meth:`merge` touch only those two fresh nodes, so neither
+        document sees the other's appends.  Code that mutates a tree
+        directly must use :meth:`clone`.
         """
-        copied = Dra4wfmsDocument(copy.deepcopy(self.root))
-        copied._memo = self._memo.remap(self.root, copied.root)
+        old_results = self.results_section
+        root = _shallow_copy(self.root)
+        results = _shallow_copy(old_results)
+        root[list(self.root).index(old_results)] = results
+        copied = Dra4wfmsDocument(root)
+        copied._memo = self._memo.copy_without(self.root, old_results)
         return copied
 
     # -- header -----------------------------------------------------------------
@@ -308,7 +325,8 @@ class Dra4wfmsDocument:
             if mine is None:
                 merged._memo.discard(merged.root)
                 merged._memo.discard(results)
-                results.append(copy.deepcopy(cer.element))
+                # Shared by reference, like every CER of a clone.
+                results.append(cer.element)
             # Shared CERs must be byte-identical; both serializations
             # come from (and populate) the respective document's memo,
             # so a k-way join compares cached chunks instead of

@@ -47,13 +47,17 @@ from dataclasses import dataclass
 
 from ..crypto.pure.rsa import RsaPublicKey
 from ..errors import ReproError
-from ..xmlsec.canonical import canonicalize
+from ..xmlsec.canonical import CanonicalMemo, canonicalize
 
 __all__ = ["CacheStats", "VerificationCache"]
 
 #: Domain separator, bumped whenever the key derivation changes so stale
 #: persisted keys can never alias a newer scheme.
 _KEY_VERSION = b"repro.vcache.v1\x00"
+
+
+def _sha256(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
 
 
 def _sized(chunk: bytes) -> bytes:
@@ -117,29 +121,25 @@ class VerificationCache:
     @staticmethod
     def key_for(signature, public_key: RsaPublicKey,
                 id_index: dict[str, ET.Element],
-                digests: dict[int, bytes] | None = None) -> bytes | None:
+                digests: CanonicalMemo | None = None) -> bytes | None:
         """Content key of *signature* in its current document context.
 
         Returns ``None`` when the signature cannot be keyed (malformed
         references, missing targets) — such signatures take the full
         verification path, which rejects them with a precise error.
 
-        *digests* is an optional per-verification memo (element identity
-        → canonical digest): within one document, predecessor signatures
-        are referenced by every successor in the cascade, so memoising
-        keeps each element's canonicalization to one per verify pass.
-        The memo must never outlive the element tree it indexes.
+        *digests* is an optional per-verification memo: within one
+        document, predecessor signatures are referenced by every
+        successor in the cascade, so memoising keeps each element's
+        canonicalization to one per verify pass, and keeps the canonical
+        forms for the pass's owner.  The memo must be built by the
+        current pass and never outlive the element tree it indexes.
         """
 
         def element_digest(element: ET.Element) -> bytes:
             if digests is not None:
-                cached = digests.get(id(element))
-                if cached is not None:
-                    return cached
-            digest = hashlib.sha256(canonicalize(element)).digest()
-            if digests is not None:
-                digests[id(element)] = digest
-            return digest
+                return digests.digest(element, _sha256)
+            return _sha256(canonicalize(element))
 
         hasher = hashlib.sha256(_KEY_VERSION)
         n = public_key.n

@@ -38,6 +38,7 @@ from ..errors import (
     XmlSignatureError,
 )
 from ..model.definition import WorkflowDefinition
+from ..xmlsec.canonical import CanonicalMemo
 from ..xmlsec.xmldsig import XmlSignature, index_by_id
 from .cer import CER, KIND_AMENDMENT
 from .document import Dra4wfmsDocument
@@ -98,6 +99,13 @@ class _SignatureChecker:
     RSA work for byte-identical, previously verified signatures) behind
     one ``verify`` call.  Structural checks are untouched — only the
     expensive cryptographic step is cached.
+
+    :attr:`memo` is a :class:`~repro.xmlsec.canonical.CanonicalMemo`
+    created fresh for this pass: cache keys and reference digests are
+    computed through it, so each referenced element is canonicalized
+    once per pass, and its canonical form is kept.  The checker reads
+    no other memo; :func:`verify_document` hands this one's entries to
+    the document only once every check has passed.
     """
 
     def __init__(self, root, backend: CryptoBackend,
@@ -108,9 +116,7 @@ class _SignatureChecker:
         self.id_index = id_index
         self.cache = cache
         self.report = report
-        #: element identity → canonical digest, scoped to this pass
-        #: (predecessor signatures are referenced by every successor).
-        self._digests: dict[int, bytes] = {}
+        self.memo = CanonicalMemo()
 
     def verify(self, signature: XmlSignature,
                public_key: RsaPublicKey) -> None:
@@ -122,13 +128,13 @@ class _SignatureChecker:
         key = None
         if self.cache is not None:
             key = self.cache.key_for(signature, public_key,
-                                     self.id_index, self._digests)
+                                     self.id_index, self.memo)
             if key is not None and self.cache.seen(key):
                 self.report.cache_hits += 1
                 return
             self.report.cache_misses += 1
         signature.verify(public_key, self.root, self.backend,
-                         self.id_index, digest_memo=self._digests)
+                         self.id_index, digest_memo=self.memo)
         if key is not None:
             self.cache.record(key)
 
@@ -165,6 +171,11 @@ def verify_document(
         structural check still runs; any byte-level change misses the
         cache and takes the full cryptographic path.  Omit for a cold
         (trust-nothing) verification — the default.
+
+    Verification reads no canonical memo but the one this call builds.
+    Once every check has passed, that memo's serializations are added
+    to *document*'s memo, so serializing the accepted document reuses
+    the bytes just verified; a rejected document's memo is untouched.
     """
     backend = backend or default_backend()
     report = VerificationReport(
@@ -430,4 +441,7 @@ def verify_document(
                             f"timestamp of {cer.cer_id} ({own_ts}) precedes "
                             f"a CER it covers ({other_id}: {other_ts})"
                         )
+    # Every check passed: the canonical forms this pass computed are
+    # the accepted document's, so its later serializations reuse them.
+    document._memo.adopt(checker.memo)
     return report

@@ -26,8 +26,10 @@ enclosing tree.  :class:`CanonicalMemo` exploits exactly that:
 DRA4WfMS documents are append-only, so the CERs of every previous hop
 re-serialize to the same bytes on every hop — memoising them turns
 ``to_bytes``/digesting from O(document) re-escaping work into an
-O(new CER) serialization plus a buffer join.  See ``docs/ROUTING.md``
-for the invalidation rules.
+O(new CER) serialization plus a buffer join.  A verification pass
+fills a memo of its own while it digests the signed elements and, once
+it accepts the document, hands the entries over.  See
+``docs/ROUTING.md`` for the invalidation and trust rules.
 """
 
 from __future__ import annotations
@@ -61,14 +63,21 @@ _INVALID_XML_CHAR = re.compile(
 _XML_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9._\-]*$")
 
 # Single-pass escaping: one compiled-regex scan decides whether a
-# string needs escaping at all.  Document text is dominated by base64
-# signature/ciphertext blobs that contain no escapable characters, so
-# the common case is a single C-level scan returning the string
-# untouched — measurably faster than chaining str.replace passes (see
-# benchmarks/test_canonical.py).  Only strings that do contain an
-# escapable character pay for the translate.
-_TEXT_NEEDS_ESCAPE = re.compile("[&<>\r]")
-_ATTR_NEEDS_ESCAPE = re.compile("[&<>\"\t\n\r]")
+# string needs any work at all.  Document text is dominated by base64
+# signature/ciphertext blobs that contain no escapable and no invalid
+# character, so the common case is a single C-level scan returning the
+# string untouched — measurably faster than chaining str.replace passes
+# (see benchmarks/test_canonical.py).  The scan looks for any character
+# outside "valid XML, needs no escaping"; only strings that contain one
+# pay for the validity check and the translate.
+_TEXT_SPECIAL = re.compile(
+    "[^\t\n\x20-\x25\x27-\x3b\x3d\x3f-\ud7ff\ue000-\ufffd"
+    "\U00010000-\U0010ffff]"
+)
+_ATTR_SPECIAL = re.compile(
+    "[^\x20\x21\x23-\x25\x27-\x3b\x3d\x3f-\ud7ff\ue000-\ufffd"
+    "\U00010000-\U0010ffff]"
+)
 _TEXT_ESCAPES = {
     ord("&"): "&amp;",
     ord("<"): "&lt;",
@@ -105,16 +114,16 @@ def _check_chars(text: str, where: str) -> None:
 
 
 def _escape_text(text: str) -> str:
-    _check_chars(text, "text content")
-    if _TEXT_NEEDS_ESCAPE.search(text) is None:
+    if _TEXT_SPECIAL.search(text) is None:
         return text
+    _check_chars(text, "text content")
     return text.translate(_TEXT_ESCAPES)
 
 
 def _escape_attr(value: str) -> str:
-    _check_chars(value, "attribute value")
-    if _ATTR_NEEDS_ESCAPE.search(value) is None:
+    if _ATTR_SPECIAL.search(value) is None:
         return value
+    _check_chars(value, "attribute value")
     return value.translate(_ATTR_ESCAPES)
 
 
@@ -123,20 +132,26 @@ class CanonicalMemo:
 
     Entries are keyed by element *identity* and hold a strong reference
     to the element, so an ``id()`` can never be recycled while its entry
-    lives.  A memo belongs to exactly one element tree; the owner must
+    lives.  An entry is valid for every tree that contains the element
+    unchanged, so trees that *share* subtrees may share entries (this is
+    how :meth:`repro.document.Dra4wfmsDocument.clone_for_append` makes
+    an O(1 CER) copy).  The owner must
 
     * call :meth:`discard` for every ancestor of a mutation point
       (appending a CER stales the serialization of the results section
       and the document root, but no sibling CER), and
-    * never share a memo between trees — :meth:`remap` derives a fresh
-      memo for a structure-preserving deep copy instead.
+    * never mutate an element another tree still shares — take a deep
+      copy (``Dra4wfmsDocument.clone``) to obtain a mutable tree.
 
-    The memo is a pure producer-side optimisation: verification never
-    consults it, so no cache state can influence what a verifier
-    accepts (the acceptance bar of ``docs/ROUTING.md``).
+    Besides serializations, a memo can hold the digest of each
+    element's canonical form (:meth:`digest`).  Verification builds one
+    fresh memo per pass over a static tree and reads no other: no cache
+    state can influence what a verifier accepts (the trust rule of
+    ``docs/ROUTING.md``).  Only a pass that accepted the document hands
+    its serializations to the document's memo (:meth:`adopt`).
     """
 
-    __slots__ = ("_entries", "_chunks", "hits", "misses")
+    __slots__ = ("_entries", "_chunks", "_digests", "hits", "misses")
 
     def __init__(self) -> None:
         #: id(element) → (element, serialized chunk)
@@ -145,6 +160,8 @@ class CanonicalMemo:
         #: for boundary subtrees (see :func:`canonicalize_boundaries`).
         #: Invalidated exactly like ``_entries`` — same owner contract.
         self._chunks: dict[int, tuple[ET.Element, bytes, str | None]] = {}
+        #: id(element) → (element, digest of its canonical form)
+        self._digests: dict[int, tuple[ET.Element, bytes]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -191,37 +208,54 @@ class CanonicalMemo:
         if entry is not None and entry[0] is element:
             self._chunks[id(element)] = (element, entry[1], digest)
 
+    def digest(self, element: ET.Element, hash_bytes) -> bytes:
+        """``hash_bytes(canonicalize(element))``, computed once per element.
+
+        The canonical form goes through this memo, so the serialization
+        is kept for reuse as well.  Every caller hashes with SHA-256
+        (XML-DSig reference digests and verification-cache keys agree
+        on it), so the cached digest does not depend on *hash_bytes*.
+        """
+        entry = self._digests.get(id(element))
+        if entry is not None and entry[0] is element:
+            return entry[1]
+        value = hash_bytes(canonicalize(element, self))
+        self._digests[id(element)] = (element, value)
+        return value
+
     def discard(self, element: ET.Element) -> None:
         """Invalidate the entry of *element* (mutation about to happen)."""
         self._entries.pop(id(element), None)
         self._chunks.pop(id(element), None)
+        self._digests.pop(id(element), None)
 
     def clear(self) -> None:
         """Drop every entry."""
         self._entries.clear()
         self._chunks.clear()
+        self._digests.clear()
 
-    def remap(self, old_root: ET.Element,
-              new_root: ET.Element) -> "CanonicalMemo":
-        """Memo for a deep copy of the tree this memo belongs to.
+    def adopt(self, other: "CanonicalMemo") -> None:
+        """Take over every serialization *other* holds (not its digests).
 
-        ``copy.deepcopy`` preserves structure, so iterating both trees
-        in document order pairs each original element with its copy;
-        every cached chunk is transferred to the copy at zero
-        serialization cost.
+        *other* must have been built over the tree this memo belongs to
+        (or over subtrees it shares), in its current state.
+        """
+        self._entries.update(other._entries)
+
+    def copy_without(self, *elements: ET.Element) -> "CanonicalMemo":
+        """Memo for a tree that shares every subtree but *elements*.
+
+        The copy keeps each serialization except those of *elements* —
+        the nodes the new tree replaces by fresh ones.  Digests belong
+        to a verification pass and are not copied; the counters start
+        at zero.
         """
         fresh = CanonicalMemo()
-        entries = self._entries
-        chunks = self._chunks
-        store = fresh._entries
-        store_chunks = fresh._chunks
-        for old, new in zip(old_root.iter(), new_root.iter()):
-            entry = entries.get(id(old))
-            if entry is not None and entry[0] is old:
-                store[id(new)] = (new, entry[1])
-            chunk = chunks.get(id(old))
-            if chunk is not None and chunk[0] is old:
-                store_chunks[id(new)] = (new, chunk[1], chunk[2])
+        fresh._entries = self._entries.copy()
+        fresh._chunks = self._chunks.copy()
+        for element in elements:
+            fresh.discard(element)
         return fresh
 
 
@@ -232,14 +266,14 @@ def _write(element: ET.Element, out: list[str],
         # Comment/PI nodes have callable tags in ElementTree; canonical
         # form excludes them entirely.
         return
-    if memo is not None:
+    if memo is not None and element.get(_ID_ATTR) is not None:
+        # Memo-worthy subtree — the only nested kind the memo stores, so
+        # the only kind worth probing: reuse its chunk, or serialize it
+        # into its own buffer so every later serialization can.
         cached = memo.lookup(element)
         if cached is not None:
             out.append(cached)
             return
-    if memo is not None and element.get(_ID_ATTR) is not None:
-        # Memo-worthy subtree: serialize into its own buffer so the
-        # joined chunk can be reused by every later serialization.
         local: list[str] = []
         _write_direct(element, local, memo)
         chunk = "".join(local)
@@ -255,11 +289,10 @@ def _write_direct(element: ET.Element, out: list[str],
     if not _XML_NAME.match(tag):
         raise CanonicalizationError(f"invalid element name {tag!r}")
     out.append(f"<{tag}")
-    for name in sorted(element.keys()):
+    for name, value in sorted(element.items()):
         if not _XML_NAME.match(name):
             raise CanonicalizationError(f"invalid attribute name {name!r}")
-        value = element.get(name)
-        out.append(f' {name}="{_escape_attr(value or "")}"')
+        out.append(f' {name}="{_escape_attr(value)}"')
     out.append(">")
     if element.text:
         out.append(_escape_text(element.text))
@@ -277,10 +310,11 @@ def canonicalize(element: ET.Element,
     The element's own tail text is excluded (it belongs to the parent),
     matching XML-DSig reference processing.
 
-    When *memo* is given, previously serialized unchanged subtrees are
-    spliced from the cache, and the serialization of *element* itself
-    (plus every ``Id``-carrying subtree) is recorded for reuse.  The
-    memo must belong to the tree containing *element*.
+    When *memo* is given, previously serialized unchanged ``Id``-carrying
+    subtrees are spliced from the cache, and the serialization of
+    *element* itself (plus every ``Id``-carrying subtree) is recorded
+    for reuse.  The memo's entries must hold for the tree containing
+    *element* as it is now.
     """
     if element is None:
         raise CanonicalizationError("cannot canonicalize None")
@@ -353,13 +387,12 @@ def canonicalize_boundaries(
         if not _XML_NAME.match(tag):
             raise CanonicalizationError(f"invalid element name {tag!r}")
         glue.append(f"<{tag}")
-        for name in sorted(node.keys()):
+        for name, value in sorted(node.items()):
             if not _XML_NAME.match(name):
                 raise CanonicalizationError(
                     f"invalid attribute name {name!r}"
                 )
-            value = node.get(name)
-            glue.append(f' {name}="{_escape_attr(value or "")}"')
+            glue.append(f' {name}="{_escape_attr(value)}"')
         glue.append(">")
         if node.text:
             glue.append(_escape_text(node.text))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from ..crypto.backend import CryptoBackend, default_backend
 from ..crypto.pure.rsa import RsaPrivateKey, RsaPublicKey
 from ..errors import XmlSignatureError
-from .canonical import canonicalize
+from .canonical import CanonicalMemo, canonicalize
 from .digest import b64, digest_element, unb64
 
 __all__ = ["Reference", "XmlSignature", "sign_references", "find_by_id",
@@ -161,20 +161,24 @@ class XmlSignature:
     def verify(self, public_key: RsaPublicKey, root: ET.Element,
                backend: CryptoBackend | None = None,
                id_index: dict[str, ET.Element] | None = None,
-               digest_memo: dict[int, bytes] | None = None) -> None:
+               digest_memo: CanonicalMemo | None = None) -> None:
         """Verify this signature against the document rooted at *root*.
 
         Checks (1) that every referenced element's current digest equals
         the signed digest, and (2) the RSA signature over the canonical
         ``SignedInfo``.  Raises :class:`XmlSignatureError` on failure.
 
-        *digest_memo* maps ``id(element)`` to its already-computed
-        digest.  Cascaded signatures reference overlapping element sets,
-        so one verification pass over a document recomputes the same
-        digests O(n) times; a memo scoped to a single pass over a
-        *static* tree (the verifier never mutates it) makes that O(n)
-        canonicalizations total without weakening any check — a wrong
-        cached digest still fails the comparison below.
+        *digest_memo* is a :class:`~repro.xmlsec.canonical.CanonicalMemo`
+        scoped to a single verification pass over a *static* tree (the
+        verifier never mutates it).  Cascaded signatures reference
+        overlapping element sets, so one pass would otherwise recompute
+        the same digests O(n) times; through the memo each referenced
+        element is canonicalized and digested once per pass, and its
+        canonical form is kept for whoever owns the pass.  No check is
+        weakened — a wrong cached digest still fails the comparison
+        below — but the memo must be one the pass built itself: a memo
+        filled outside the pass could hold bytes of a tree that has
+        changed since.
         """
         backend = backend or default_backend()
         index = id_index if id_index is not None else index_by_id(root)
@@ -187,10 +191,7 @@ class XmlSignature:
             if digest_memo is None:
                 actual = digest_element(target, backend)
             else:
-                actual = digest_memo.get(id(target))
-                if actual is None:
-                    actual = digest_element(target, backend)
-                    digest_memo[id(target)] = actual
+                actual = digest_memo.digest(target, backend.digest)
             if actual != ref.digest:
                 raise XmlSignatureError(
                     f"digest mismatch for element {ref.target_id!r} "

@@ -374,3 +374,76 @@ class TestPoolLifecycle:
         (row_key, row), = hb.scan(DOC_TABLE)
         assert row_key == process_id
         assert all(family == "meta" for (family, _) in row)
+
+
+# -- churn: clients keep working across GC sweeps --------------------------------
+
+
+class TestChurnWithGc:
+    """Long-lived clients submitting deltas across lifecycle sweeps.
+
+    A client remembers which chunks the cloud holds so its submits can
+    leave them out.  A sweep deletes every chunk no live manifest pins
+    — including glue chunks that every instance's documents share — so
+    that memory must not outlive the sweep: a submit that leaves out a
+    collected chunk makes the portal demand the full document.
+    """
+
+    INSTANCES = 4
+
+    def _world(self, backend):
+        from repro.workloads import build_world
+        from repro.workloads.generator import participant_pool
+
+        participants = participant_pool(3)
+        world = build_world(
+            ["designer@enterprise.example", "tfc@cloud.example",
+             *participants], bits=1024, backend=backend)
+        return world, participants
+
+    def _drive(self, system, clients, definition, process_id):
+        from repro.workloads.generator import auto_responders
+
+        responders = auto_responders(definition)
+        queue = [definition.start_activity]
+        while queue:
+            activity = queue.pop(0)
+            client = clients[definition.activity(activity).participant]
+            entries = client.execute(process_id, activity,
+                                     responders[activity])
+            queue.extend(e.activity_id for e in entries)
+
+    @pytest.mark.parametrize("placement", ["round-robin", "ring"])
+    def test_no_delta_fallback_after_sweeps(self, backend, placement):
+        from repro.cloud import CloudSystem
+        from repro.document import build_initial_document
+        from repro.workloads.generator import chain_definition
+
+        world, participants = self._world(backend)
+        definition = chain_definition(3, participants=participants)
+        system = CloudSystem(
+            world.directory, world.keypair("tfc@cloud.example"),
+            portals=2, backend=backend, delta_routing=True,
+            placement=placement)
+        designer = system.client(world.keypair("designer@enterprise.example"))
+        clients = {p: system.client(world.keypair(p)) for p in participants}
+        deleted = 0
+        for index in range(self.INSTANCES):
+            initial = build_initial_document(
+                definition, world.keypair("designer@enterprise.example"),
+                process_id=f"churn-{index}", backend=backend,
+                created_at=float(index))
+            process_id = designer.upload_initial(initial)
+            self._drive(system, clients, definition, process_id)
+            assert system.pool.latest(process_id).cers()
+            # Sweep: every completed instance leaves hot storage.
+            system.pool.archive(process_id)
+            system.pool.compact(process_id)
+            system.pool.retire(process_id)
+            deleted += system.pool.gc()[0]
+            system.pool.flush_hot_tables()
+        assert deleted > 0  # the sweeps really collected chunks
+        stats = [portal.stats for portal in system.portals]
+        assert sum(s["delta_submissions"] for s in stats) \
+            == self.INSTANCES * len(definition.activities)
+        assert sum(s["delta_fallbacks"] for s in stats) == 0

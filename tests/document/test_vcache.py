@@ -8,6 +8,7 @@ import pytest
 
 from repro.document.vcache import CacheStats, VerificationCache
 from repro.document.verify import verify_document
+from repro.xmlsec.canonical import CanonicalMemo
 from repro.xmlsec.xmldsig import index_by_id
 
 
@@ -138,7 +139,7 @@ class TestKeyDerivation:
         index = index_by_id(document.root)
         signature = document.cers(include_definition=False)[0].signature
         public_key = world.directory.public_key_of(signature.signer)
-        memo: dict[int, bytes] = {}
+        memo = CanonicalMemo()
         with_memo = VerificationCache.key_for(signature, public_key, index,
                                               memo)
         without = VerificationCache.key_for(signature, public_key, index)

@@ -13,7 +13,8 @@ Seeds are fixed so failures reproduce; the topologies come from
 :func:`repro.workloads.generator.random_definition`, which composes
 valid workflows by construction.  A Hypothesis property adds random
 chain/diamond topologies: each verifies pristine and is rejected after
-one flipped ``SignatureValue``.
+one flipped ``SignatureValue``.  Another checks that at every hop the
+memo-warm serialization equals a cold canonicalization.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 from repro.core import InMemoryRuntime, TfcServer
 from repro.document import build_initial_document
 from repro.document.amendments import DelegateActivity, GrantReader
+from repro.document.document import Dra4wfmsDocument
 from repro.document.vcache import VerificationCache
 from repro.document.verify import verify_document
 from repro.errors import TamperDetected, VerificationError
@@ -35,6 +37,7 @@ from repro.workloads.generator import (
     participant_pool,
     random_definition,
 )
+from repro.xmlsec.canonical import canonicalize
 
 from ..document.tamper_cases import flip_base64
 
@@ -264,3 +267,48 @@ if HAVE_HYPOTHESIS:
         flip_base64(values[tamper_at % len(values)])
         with pytest.raises((TamperDetected, VerificationError)):
             verify_document(document, fuzz_world.directory, backend)
+
+
+# -- random topologies, memo-warm bytes ≡ cold bytes at every hop (property) --
+
+#: (kind, size, pool, mode) → hop documents of one execution.
+_hops: dict[tuple[str, int, int, str], list] = {}
+
+
+def _hop_documents(fuzz_world, backend, kind: str, size: int, pool: int,
+                   mode: str):
+    key = (kind, size, pool, mode)
+    documents = _hops.get(key)
+    if documents is None:
+        maker = chain_definition if kind == "chain" else diamond_definition
+        definition = maker(size, participant_pool(pool), designer=DESIGNER)
+        initial, trace, _ = _run(fuzz_world, backend, definition, mode)
+        documents = _hops[key] = hop_documents(initial, trace)
+    return documents
+
+
+if HAVE_HYPOTHESIS:
+
+    @settings(max_examples=16, deadline=None)
+    @given(
+        kind=st.sampled_from(["chain", "diamond"]),
+        size=st.integers(min_value=2, max_value=5),
+        pool=st.integers(min_value=1, max_value=4),
+        mode=st.sampled_from(["basic", "advanced"]),
+    )
+    def test_random_topologies_warm_bytes(fuzz_world, backend, kind, size,
+                                          pool, mode):
+        """Every hop's memo-warm serialization is its cold one.
+
+        Hop documents share CER subtrees with their predecessors and
+        carry memo entries inherited through ``clone_for_append`` and
+        handed over by verification; none of that may change a byte.
+        """
+        for hop, document in enumerate(
+                _hop_documents(fuzz_world, backend, kind, size, pool, mode)):
+            warm = document.to_bytes()
+            assert warm == canonicalize(document.root), f"hop {hop}"
+            received = Dra4wfmsDocument.from_bytes(warm)
+            verify_document(received, fuzz_world.directory, backend)
+            assert received.to_bytes() == warm, f"hop {hop}: after verify"
+            assert received.clone_for_append().to_bytes() == warm
