@@ -79,6 +79,12 @@ class DocumentPool:
     *and* across instances.  Reads reassemble and digest-check the full
     canonical bytes, so everything downstream of the pool sees exactly
     the bytes a full-storage pool would serve.
+
+    In both modes the pool also keeps, per live instance, the document
+    it last stored (the *held* document, see :meth:`store`,
+    :meth:`latest` and ``docs/STORAGE.md``): a read that finds exactly
+    what the pool itself wrote returns a copy of it instead of parsing
+    the stored bytes again.
     """
 
     def __init__(self, hbase: SimHBase, delta: bool = False,
@@ -104,6 +110,10 @@ class DocumentPool:
                 self.chunks = CerChunkStore(hbase)
             if not hbase.has_table(MANIFEST_TABLE):
                 hbase.create_table(MANIFEST_TABLE)
+        #: process id → (what was stored, the document stored): the
+        #: canonical bytes in full mode, the manifest's ``doc_digest``
+        #: in delta mode.  Private; see :meth:`_held_for`.
+        self._held: dict[str, tuple[bytes | str, Dra4wfmsDocument]] = {}
 
     # -- replay guard ------------------------------------------------------------
 
@@ -125,8 +135,40 @@ class DocumentPool:
 
     # -- documents ----------------------------------------------------------------
 
+    def _held_for(self, process_id: str,
+                  stored: bytes | str) -> Dra4wfmsDocument | None:
+        """The held document, if *stored* is exactly what it was stored as.
+
+        *stored* is what a read found in storage: the ``doc:latest``
+        bytes in full mode, the already digest-checked manifest's
+        ``doc_digest`` in delta mode.  Any other content (an edited
+        cell, a rolled-back manifest) answers ``None`` and the caller
+        parses what it read.
+        """
+        held = self._held.get(process_id)
+        if held is not None and held[0] == stored:
+            return held[1]
+        return None
+
+    def release(self, process_id: str) -> None:
+        """Forget the held document of a finished instance.
+
+        Storage is untouched; the next read of the instance parses what
+        it reads.  Called when an instance completes and by
+        :meth:`archive`, :meth:`retire` and :meth:`purge`.
+        """
+        self._held.pop(process_id, None)
+
     def store(self, document: Dra4wfmsDocument) -> int:
-        """Store a new version of a process's document; returns the seq."""
+        """Store a new version of a process's document; returns the seq.
+
+        After a successful store the pool holds
+        ``document.clone_for_append()`` for the instance, which shares
+        *document*'s CER elements: the caller may append to *document*
+        but must not mutate its tree directly afterwards (mutate a
+        :meth:`~repro.document.Dra4wfmsDocument.clone`).  A rejected
+        store changes nothing, the held document included.
+        """
         process_id = document.process_id
         if not self.is_registered(process_id):
             raise StorageError(
@@ -149,10 +191,10 @@ class DocumentPool:
             # attack — the one alteration signature verification alone
             # cannot catch, because a prefix of the cascade is itself a
             # validly-signed document.
-            old_ids = {
-                cer.cer_id
-                for cer in Dra4wfmsDocument.from_bytes(previous).cers()
-            }
+            before = self._held_for(process_id, previous)
+            if before is None:
+                before = Dra4wfmsDocument.from_bytes(previous)
+            old_ids = {cer.cer_id for cer in before.cers()}
             new_ids = {cer.cer_id for cer in document.cers()}
             missing = old_ids - new_ids
             if missing:
@@ -165,6 +207,7 @@ class DocumentPool:
         self.hbase.put(DOC_TABLE, process_id, _FAMILY_HIST, f"{seq:08d}",
                        data)
         self.hbase.put(DOC_TABLE, process_id, _FAMILY_DOC, "latest", data)
+        self._held[process_id] = (data, document.clone_for_append())
         return seq
 
     def _store_delta(self, document: Dra4wfmsDocument) -> int:
@@ -209,6 +252,8 @@ class DocumentPool:
         # the client already holds by its document digest.
         self.hbase.put(MANIFEST_TABLE, manifest.doc_digest, "m", "b",
                        manifest_bytes)
+        self._held[process_id] = (manifest.doc_digest,
+                                  document.clone_for_append())
         return seq
 
     # -- delta-mode accessors -----------------------------------------------
@@ -261,20 +306,34 @@ class DocumentPool:
     def latest(self, process_id: str) -> Dra4wfmsDocument:
         """The most recent stored document of an instance.
 
-        In delta mode the returned document's canonical memo is
-        pre-seeded from the digest-checked chunks, so downstream
-        serialization/chunking of the (unchanged) history is O(new CER)
-        instead of O(document).
+        Reads storage exactly as :meth:`latest_bytes` does (the
+        ``doc:latest`` cell in full mode; manifest, chunks and
+        :func:`~repro.document.delta.assemble`'s digest checks in delta
+        mode).  When what it read is what this pool last stored for the
+        instance, the result is ``clone_for_append()`` of the held
+        document: memo-warm, its definition already parsed, and no
+        parse at all.  Any other content is parsed, in delta mode with
+        the canonical memo seeded from the digest-checked chunks.
+
+        The result shares CER elements with the held document: append
+        to it freely, but mutate only a
+        :meth:`~repro.document.Dra4wfmsDocument.clone`.
         """
         if self.delta:
             manifest = self.latest_manifest(process_id)
             fetched = self._fetch_chunks(manifest)
-            document = Dra4wfmsDocument.from_bytes(
-                assemble(manifest, fetched)
-            )
+            data = assemble(manifest, fetched)
+            held = self._held_for(process_id, manifest.doc_digest)
+            if held is not None:
+                return held.clone_for_append()
+            document = Dra4wfmsDocument.from_bytes(data)
             seed_chunks(document, manifest, fetched)
             return document
-        return Dra4wfmsDocument.from_bytes(self.latest_bytes(process_id))
+        data = self.latest_bytes(process_id)
+        held = self._held_for(process_id, data)
+        if held is not None:
+            return held.clone_for_append()
+        return Dra4wfmsDocument.from_bytes(data)
 
     def history(self, process_id: str) -> list[Dra4wfmsDocument]:
         """Every stored version, oldest first."""
@@ -374,6 +433,7 @@ class DocumentPool:
             raise StorageError(f"unknown process {process_id!r}")
         self.hbase.put(DOC_TABLE, process_id, _FAMILY_META, "archived",
                        b"1")
+        self.release(process_id)
 
     def is_archived(self, process_id: str) -> bool:
         """True when the instance is archived."""
@@ -446,6 +506,7 @@ class DocumentPool:
                 f"process {process_id!r} must be archived before it can "
                 f"be retired from hot storage"
             )
+        self.release(process_id)
         if (_FAMILY_META, "retired") in row:
             return
         assert self.chunks is not None
@@ -500,6 +561,7 @@ class DocumentPool:
         row = self.hbase.get(DOC_TABLE, process_id)
         if (_FAMILY_META, "registered") not in row:
             raise StorageError(f"unknown process {process_id!r}")
+        self.release(process_id)
         if self.delta and self.chunks is not None:
             # Release the purged versions' chunk references and their
             # by-digest index rows, or the refcounts would pin chunks

@@ -35,6 +35,7 @@ from ..errors import (
     DeltaMismatch,
     PortalError,
     RuntimeFault,
+    TamperDetected,
 )
 from ..model.controlflow import JoinKind
 from .network import WAN, NetworkModel
@@ -315,6 +316,12 @@ class PortalServer:
         and re-store steps then re-serialize only the new CER instead
         of the whole history.  Verification reads only the memo it
         builds itself, so this changes no accept/reject decision.
+
+        Every rejection (unknown process, failed verification or TFC
+        finalisation, a branch that diverges from the pooled copy, a
+        rollback caught by the pool) is counted in
+        ``stats["rejected"]`` and raised as
+        :class:`~repro.errors.PortalError`, leaving the pool unchanged.
         """
         document = Dra4wfmsDocument.from_bytes(data)
         if manifest is not None and chunks is not None:
@@ -340,10 +347,18 @@ class PortalServer:
 
         finalized = tfc_result.document
         # Merge with the pool copy so concurrent AND-split branches
-        # accumulate in one document.
+        # accumulate in one document.  The pool copy is normally the
+        # document the pool itself stored last, so the merge compares
+        # memo-warm CERs and the store splices their bytes.
         stored = self.pool.latest(document.process_id)
-        merged = stored.merge(finalized)
-        self.pool.store(merged)
+        try:
+            merged = stored.merge(finalized)
+            self.pool.store(merged)
+        except TamperDetected as exc:
+            # A branch that diverges from the pooled copy, or a
+            # submission that drops stored CERs (rollback).
+            self.stats["rejected"] += 1
+            raise PortalError(f"submission rejected: {exc}") from exc
 
         definition = self._definition_of(merged)
         self.pool.remove_todo(
@@ -361,6 +376,10 @@ class PortalServer:
                 process_id=merged.process_id,
                 activity_id=activity_id,
             ))
+        if not tfc_result.routing.next_activities:
+            # Routed nowhere: the instance is finished here, so the
+            # pool need not keep its last document in memory.
+            self.pool.release(merged.process_id)
         self.stats["submissions"] += 1
         return entries
 
@@ -421,12 +440,10 @@ class PortalServer:
     def _definition_of(self, document: Dra4wfmsDocument):
         from ..document.amendments import effective_definition
 
-        if document.definition_is_encrypted:
-            return effective_definition(
-                document, self.tfc.identity,
-                self.tfc.keypair.private_key, self.backend,
-            )
-        return effective_definition(document, backend=self.backend)
+        return effective_definition(
+            document, self.tfc.identity, self.tfc.keypair.private_key,
+            self.backend,
+        )
 
     @staticmethod
     def join_arity(definition, activity_id: str) -> int:

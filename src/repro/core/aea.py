@@ -204,8 +204,6 @@ class ActivityExecutionAgent:
         )
         definition = effective_definition(
             document, self.identity, self.keypair.private_key, self.backend
-        ) if document.definition_is_encrypted else effective_definition(
-            document, backend=self.backend
         )
 
         activity = definition.activity(activity_id)
@@ -327,11 +325,7 @@ class ActivityExecutionAgent:
             cache=self.verify_cache,
         )
         current = effective_definition(
-            document,
-            self.identity if document.definition_is_encrypted else None,
-            self.keypair.private_key if document.definition_is_encrypted
-            else None,
-            self.backend,
+            document, self.identity, self.keypair.private_key, self.backend
         )
         check_authorized(amendment, self.identity, current)
 

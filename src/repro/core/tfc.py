@@ -158,8 +158,6 @@ class TfcServer:
             definition: WorkflowDefinition = effective_definition(
                 document, self.identity, self.keypair.private_key,
                 self.backend
-            ) if document.definition_is_encrypted else effective_definition(
-                document, backend=self.backend
             )
 
             pending = document.pending_intermediate()

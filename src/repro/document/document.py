@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import uuid
 import xml.etree.ElementTree as ET
+from typing import NamedTuple
 
 from ..errors import DocumentFormatError, TamperDetected
 from ..model.definition import WorkflowDefinition
@@ -47,6 +48,17 @@ def _shallow_copy(element: ET.Element) -> ET.Element:
     return copied
 
 
+class _DefinitionEntry(NamedTuple):
+    """A parsed base definition and the key it is valid under."""
+
+    #: The ``WorkflowDefinitionSection`` it was parsed from.
+    section: ET.Element
+    #: ``(identity, private_key)`` that decrypted it; ``None`` when the
+    #: section is plaintext (any reader may use the entry).
+    reader: tuple[str, RsaPrivateKey] | None
+    definition: WorkflowDefinition
+
+
 def new_process_id() -> str:
     """Fresh globally-unique process id (replay-attack resistance, §2.1)."""
     return uuid.uuid4().hex
@@ -68,6 +80,8 @@ class Dra4wfmsDocument:
         # next serialization, and must not hold a tree that shares
         # subtrees with another document (see clone_for_append).
         self._memo = CanonicalMemo()
+        # The parsed base definition, see definition().
+        self._definition: _DefinitionEntry | None = None
 
     # -- serialization ---------------------------------------------------------
 
@@ -86,9 +100,10 @@ class Dra4wfmsDocument:
 
         Required after any direct mutation of ``self.root`` that
         bypasses :meth:`append_cer`/:meth:`merge` (tamper-simulation
-        harnesses, tests).
+        harnesses, tests).  The memoised definition is dropped too.
         """
         self._memo.clear()
+        self._definition = None
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Dra4wfmsDocument":
@@ -103,11 +118,12 @@ class Dra4wfmsDocument:
     def clone(self) -> "Dra4wfmsDocument":
         """Deep, independent copy: the one to mutate directly.
 
-        The clone starts with a *cold* canonical memo and shares no
-        element with this document: clones are the designated way to
-        obtain a mutable copy (tamper simulations, tests), and inherited
-        cache entries would go stale under direct tree edits.  The clone
-        rebuilds its memo on first serialization.
+        The clone starts with a *cold* canonical memo and no memoised
+        definition, and shares no element with this document: clones
+        are the designated way to obtain a mutable copy (tamper
+        simulations, tests), and inherited cache entries would go stale
+        under direct tree edits.  The clone rebuilds its memo on first
+        serialization.
         """
         return Dra4wfmsDocument(copy.deepcopy(self.root))
 
@@ -120,10 +136,11 @@ class Dra4wfmsDocument:
         application definition too, so cloning costs O(1 CER) instead
         of O(document).  The memo entries of every shared subtree stay
         valid and are copied; only those of the replaced root and
-        results section are left out.  :meth:`append_cer` and
-        :meth:`merge` touch only those two fresh nodes, so neither
-        document sees the other's appends.  Code that mutates a tree
-        directly must use :meth:`clone`.
+        results section are left out.  The memoised definition is
+        carried over, since the definition section is shared.
+        :meth:`append_cer` and :meth:`merge` touch only those two fresh
+        nodes, so neither document sees the other's appends.  Code that
+        mutates a tree directly must use :meth:`clone`.
         """
         old_results = self.results_section
         root = _shallow_copy(self.root)
@@ -131,6 +148,7 @@ class Dra4wfmsDocument:
         root[list(self.root).index(old_results)] = results
         copied = Dra4wfmsDocument(root)
         copied._memo = self._memo.copy_without(self.root, old_results)
+        copied._definition = self._definition
         return copied
 
     # -- header -----------------------------------------------------------------
@@ -188,13 +206,29 @@ class Dra4wfmsDocument:
     def definition(self, identity: str | None = None,
                    private_key: RsaPrivateKey | None = None,
                    backend: CryptoBackend | None = None) -> WorkflowDefinition:
-        """Parse (decrypting if necessary) the workflow definition.
+        """The base workflow definition, parsed (and decrypted) once.
 
         For an encrypted definition the caller must supply the identity
         and private key of an authorised reader.
+
+        The parsed definition is memoised per document lineage: the key
+        is the ``WorkflowDefinitionSection`` element itself (held by a
+        strong reference, so its identity cannot be recycled) and, for
+        an encrypted section only, the reader's ``(identity,
+        private_key)``.  A caller with other credentials misses the memo
+        and decrypts — and fails — exactly as an unmemoised call would.
+        :meth:`clone_for_append` and :meth:`merge` carry the memo;
+        :meth:`clone` and :meth:`drop_canonical_cache` start cold.
+        The returned definition is shared: callers must not mutate it
+        (:func:`~repro.document.amendments.apply_amendment` copies).
         """
         section = self._wfdef_section()
         encrypted = section.find(ENC_TAG)
+        reader = None if encrypted is None else (identity, private_key)
+        held = self._definition
+        if (held is not None and held.section is section
+                and held.reader == reader):
+            return held.definition
         if encrypted is None:
             node = section.find("WorkflowDefinition")
             if node is None:
@@ -202,17 +236,20 @@ class Dra4wfmsDocument:
                     "WorkflowDefinitionSection holds neither a plaintext "
                     "nor an encrypted definition"
                 )
-            return definition_from_xml(node)
-        if identity is None or private_key is None:
+            definition = definition_from_xml(node)
+        elif identity is None or private_key is None:
             raise DocumentFormatError(
                 "the workflow definition is encrypted; pass the identity "
                 "and private key of an authorised reader"
             )
-        backend = backend or default_backend()
-        plaintext = EncryptedValue(encrypted).decrypt(
-            identity, private_key, backend
-        )
-        return definition_from_xml(parse_xml(plaintext))
+        else:
+            backend = backend or default_backend()
+            plaintext = EncryptedValue(encrypted).decrypt(
+                identity, private_key, backend
+            )
+            definition = definition_from_xml(parse_xml(plaintext))
+        self._definition = _DefinitionEntry(section, reader, definition)
+        return definition
 
     # -- CERs -------------------------------------------------------------------
 
@@ -310,7 +347,9 @@ class Dra4wfmsDocument:
         Paper §2.1: at an AND-join the receiving AEA holds one routed
         document per branch; the sets of CERs are unioned.  CERs present
         in both copies must be byte-identical — a divergence means one
-        branch was altered.
+        branch was altered.  The result is built by
+        :meth:`clone_for_append` of this document, so it carries this
+        document's memoised definition.
         """
         if self.process_id != other.process_id:
             raise DocumentFormatError(

@@ -172,10 +172,14 @@ def verify_document(
         cache and takes the full cryptographic path.  Omit for a cold
         (trust-nothing) verification — the default.
 
-    Verification reads no canonical memo but the one this call builds.
-    Once every check has passed, that memo's serializations are added
-    to *document*'s memo, so serializing the accepted document reuses
-    the bytes just verified; a rejected document's memo is untouched.
+    Verification reads no canonical memo but the one this call builds,
+    and parses the definition itself rather than reading the
+    document's definition memo.  Once every check has passed, that
+    memo's serializations are added to *document*'s memo, so
+    serializing the accepted document reuses the bytes just verified,
+    and the definition this call parsed (if any; not a caller-supplied
+    *definition*) becomes the document's memoised definition.  A
+    rejected document's memos are untouched.
     """
     backend = backend or default_backend()
     report = VerificationReport(
@@ -219,13 +223,15 @@ def verify_document(
         raise TamperDetected(f"designer signature invalid: {exc}") from exc
     report.signatures_verified += 1
 
-    # Obtain the definition if we can.
+    # Obtain the definition if we can.  It is parsed through a fresh
+    # wrapper of the same tree, so no memoised definition is read.
+    reading = Dra4wfmsDocument(document.root)
     if definition is None:
         if not document.definition_is_encrypted:
-            definition = document.definition()
+            definition = reading.definition()
         elif definition_reader is not None:
             identity, private_key = definition_reader
-            definition = document.definition(identity, private_key, backend)
+            definition = reading.definition(identity, private_key, backend)
         else:
             report.warnings.append(
                 "definition encrypted and no reader credentials supplied; "
@@ -442,6 +448,10 @@ def verify_document(
                             f"a CER it covers ({other_id}: {other_ts})"
                         )
     # Every check passed: the canonical forms this pass computed are
-    # the accepted document's, so its later serializations reuse them.
+    # the accepted document's, so its later serializations reuse them,
+    # and so is the definition it parsed, so later definition() calls
+    # with the same credentials do not parse it again.
     document._memo.adopt(checker.memo)
+    if reading._definition is not None:
+        document._definition = reading._definition
     return report

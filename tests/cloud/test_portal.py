@@ -154,3 +154,79 @@ class TestUploadAndSubmit:
         # Monitoring sees one completed execution.
         status = portal.monitor(session, initial.process_id)
         assert status.completed == [("A", 0)]
+
+
+class TestMergeAndRollbackRejections:
+    """A submission the merge or the pool's rollback guard refuses is a
+    counted rejection (``PortalError``), and leaves the pool as it was."""
+
+    @pytest.fixture(params=[False, True], ids=["full", "delta"])
+    def cloud(self, request, world, backend, initial):
+        system = CloudSystem(world.directory,
+                             world.keypair("tfc@cloud.example"),
+                             portals=1, backend=backend,
+                             delta_routing=request.param)
+        system.client(world.keypair(DESIGNER)).upload_initial(initial)
+        return system
+
+    RESPONSES = {"A": {"attachment": "x"}, "B1": {"review1": "ok"},
+                 "B2": {"review2": "ok"}}
+
+    def execute(self, system, client, document, activity):
+        return client.agent.execute_activity(
+            document, activity, self.RESPONSES[activity],
+            mode="advanced", tfc_identity=system.tfc.identity,
+            tfc_public_key=system.tfc.public_key,
+        ).document
+
+    def test_second_execution_from_one_checkout(self, cloud, world,
+                                                initial):
+        pool, portal = cloud.pool, cloud.portals[0]
+        client = cloud.client(world.keypair(PARTICIPANTS["A"]))
+        document = client.retrieve_document(initial.process_id)
+        first = self.execute(cloud, client, document, "A")
+        second = self.execute(cloud, client, document, "A")
+        client.submit_document(first)
+        stored = pool.latest_bytes(initial.process_id)
+        held = pool._held[initial.process_id]
+        with pytest.raises(PortalError, match="differs between branch"):
+            client.submit_document(second)
+        assert portal.stats["rejected"] == 1
+        assert portal.stats["submissions"] == 1
+        assert pool.latest_bytes(initial.process_id) == stored
+        assert pool._held[initial.process_id] is held
+        assert pool.latest(initial.process_id).to_bytes() == stored
+
+    def test_concurrent_store_caught_by_rollback_guard(self, cloud, world,
+                                                       initial):
+        # B1 and B2 run in parallel after A.  B2's submission is
+        # stored between the moment the portal reads the pool copy for
+        # B1's merge and the moment it stores that merge, so the merge
+        # lacks B2's CERs: the pool's monotonicity guard refuses it.
+        pool, portal = cloud.pool, cloud.portals[0]
+        pid = initial.process_id
+        a = cloud.client(world.keypair(PARTICIPANTS["A"]))
+        a.submit_document(
+            self.execute(cloud, a, a.retrieve_document(pid), "A"))
+        b1 = cloud.client(world.keypair(PARTICIPANTS["B1"]))
+        b2 = cloud.client(world.keypair(PARTICIPANTS["B2"]))
+        branch1 = self.execute(cloud, b1, b1.retrieve_document(pid), "B1")
+        branch2 = self.execute(cloud, b2, b2.retrieve_document(pid), "B2")
+        read = pool.latest
+        after_race = {}
+
+        def racing_latest(process_id):
+            document = read(process_id)
+            if not after_race:
+                pool.latest = read
+                b2.submit_document(branch2)
+                after_race["bytes"] = pool.latest_bytes(process_id)
+                after_race["held"] = pool._held[process_id]
+            return document
+
+        pool.latest = racing_latest
+        with pytest.raises(PortalError, match="rollback"):
+            b1.submit_document(branch1)
+        assert portal.stats["rejected"] == 1
+        assert pool.latest_bytes(pid) == after_race["bytes"]
+        assert pool._held[pid] is after_race["held"]
