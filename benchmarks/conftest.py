@@ -106,18 +106,34 @@ def emit_table(name: str, title: str, header: list[str],
 BENCH_SCHEMA = 1
 
 
-def _git_sha() -> str:
-    """Short commit id of the tree the bench ran on; never raises."""
+HERE = pathlib.Path(__file__).parent
+
+
+def _git(*args: str, cwd: pathlib.Path) -> subprocess.CompletedProcess | None:
+    """Run one git command in *cwd*; ``None`` if git cannot run."""
     try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short=12", "HEAD"],
-            cwd=pathlib.Path(__file__).parent, capture_output=True,
-            text=True, timeout=10,
-        )
+        return subprocess.run(["git", *args], cwd=cwd, capture_output=True,
+                              text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
+        return None
+
+
+def _git_sha(cwd: pathlib.Path = HERE) -> str:
+    """Short commit id of the tree the bench ran on; never raises."""
+    proc = _git("rev-parse", "--short=12", "HEAD", cwd=cwd)
+    if proc is None or proc.returncode != 0 or not proc.stdout.strip():
         return "unknown"
-    sha = proc.stdout.strip()
-    return sha if proc.returncode == 0 and sha else "unknown"
+    return proc.stdout.strip()
+
+
+def _git_dirty(cwd: pathlib.Path = HERE) -> bool | None:
+    """True when tracked files differ from HEAD, so ``git_sha`` alone
+    does not name the code that ran; ``None`` outside a git checkout.
+    Untracked files (bench outputs, scratch) do not count."""
+    proc = _git("status", "--porcelain", "--untracked-files=no", cwd=cwd)
+    if proc is None or proc.returncode != 0:
+        return None
+    return bool(proc.stdout.strip())
 
 
 def bench_meta(name: str) -> dict:
@@ -126,6 +142,7 @@ def bench_meta(name: str) -> dict:
         "name": name,
         "schema_version": BENCH_SCHEMA,
         "git_sha": _git_sha(),
+        "git_dirty": _git_dirty(),
         "cpu_count": os.cpu_count() or 1,
     }
 
@@ -139,7 +156,7 @@ def emit_bench(name: str, payload: dict) -> str:
     serialisation (sorted keys, trailing newline) can never drift apart.
 
     A ``bench_meta`` provenance key (name, stamp schema version, git
-    SHA, cpu count) is merged into every payload so
+    SHA and dirty-tree flag, cpu count) is merged into every payload so
     ``scripts/bench_trajectory.py`` can build a cross-run trajectory
     table.  It is one *added* key — existing top-level result keys are
     untouched, so consumers pinned to them keep working.

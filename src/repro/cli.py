@@ -224,10 +224,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # --replication and --gc-interval only make sense over the chunk
-    # store, so either implies delta routing.
-    delta = (args.delta or args.replication is not None
-             or args.gc_interval > 0)
     if args.archive_out and not args.gc_interval:
         print("error: --archive-out requires --gc-interval (bundles "
               "are exported by the lifecycle sweep)", file=sys.stderr)
@@ -251,7 +247,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             workers=args.workers,
             loops=args.loops,
             audit_every=args.audit_every,
-            delta_routing=delta,
+            delta_routing=args.delta,
             portals=args.portals,
             placement=args.placement,
             chunk_replicas=args.replication,
@@ -293,7 +289,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         archive_sink=archive_sink,
     )
     fleet = build_fleet(workload, config, portals=args.portals,
-                        delta_routing=delta,
+                        delta_routing=args.delta,
                         placement=args.placement,
                         chunk_replicas=args.replication,
                         split_threshold_rows=args.split_rows)
@@ -441,9 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "load (see docs/SHARDING.md)")
     loadtest.add_argument("--replication", type=int, default=None,
                           metavar="R",
-                          help="replicate delta chunks over R region-"
-                               "server shards with read-repair "
-                               "(implies --delta)")
+                          help="replicate the pool's chunks over R "
+                               "region-server shards with read-repair")
     loadtest.add_argument("--split-rows", type=int, default=256,
                           help="HBase region auto-split row threshold")
     loadtest.add_argument("--tfc-workers", type=int, default=1,
@@ -453,17 +448,19 @@ def build_parser() -> argparse.ArgumentParser:
                                "(0 disables)")
     loadtest.add_argument("--delta", action="store_true",
                           help="delta document routing: ship only the "
-                               "CER chunks each side has not seen")
+                               "CER chunks each side has not seen (the "
+                               "wire protocol only; the pool stores "
+                               "chunks either way)")
     loadtest.add_argument("--gc-interval", type=int, default=0,
                           metavar="N",
                           help="storage-lifecycle sweep: every N "
                                "completions, archive+compact+retire "
                                "finished instances and GC zero-ref "
-                               "chunks (implies --delta; 0 disables)")
+                               "chunks (0 disables)")
     loadtest.add_argument("--chunk-cache-bytes", type=int, default=None,
                           metavar="B",
                           help="LRU byte budget per client chunk cache "
-                               "(delta mode; default unbounded)")
+                               "(delta routing; default unbounded)")
     loadtest.add_argument("--archive-out", metavar="DIR", default=None,
                           help="export a cold-verifiable archival "
                                "bundle per retired instance into DIR "

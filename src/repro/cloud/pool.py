@@ -1,11 +1,18 @@
 """The pool of DRA4WfMS documents (paper §4.2, Fig. 7).
 
-Documents are stored in the simulated HBase: "a DRA4WfMS document is
-stored as a cell in a row of an HBase table".  The pool keeps
+Documents are stored in the simulated HBase.  The paper stores "a
+DRA4WfMS document ... as a cell in a row of an HBase table"; here each
+stored version is a small **manifest** cell (ordered chunk digests, see
+:mod:`repro.document.delta`) plus content-addressed CER chunk cells in
+a shared :class:`~repro.cloud.hbase.CerChunkStore`.  Reads reassemble
+and digest-check the full canonical bytes, so every reader sees exactly
+the bytes that were stored.  The pool keeps
 
-* the latest document of every process instance (``doc:latest``),
-* the full version history (``hist:<seq>``) — an auditor can replay how
-  the instance grew, and
+* the manifest of the latest version of every process instance
+  (``doc:manifest``),
+* the version history (``hist:<seq>``, one manifest per version) — an
+  auditor can replay how the instance grew,
+* a manifest-by-digest index, and
 * a TO-DO index table mapping each participant to the process instances
   waiting on them ("a very similar procedure is used to obtain the
   TO-DO list in a WfMS").
@@ -70,50 +77,38 @@ class ProcessSummary:
 class DocumentPool:
     """HBase-backed storage for DRA4WfMS documents.
 
-    With ``delta=True`` the pool stores each document version as a
-    small **manifest** (ordered chunk digests, see
-    :mod:`repro.document.delta`) plus content-addressed chunks in a
-    shared :class:`~repro.cloud.hbase.CerChunkStore` — so the k-th
-    version of an instance writes one new CER chunk and one manifest
-    instead of the whole document, and chunks dedup across versions
-    *and* across instances.  Reads reassemble and digest-check the full
-    canonical bytes, so everything downstream of the pool sees exactly
-    the bytes a full-storage pool would serve.
+    Each document version is stored as a manifest plus content-addressed
+    chunks, so the k-th version of an instance writes one new CER chunk
+    and one manifest instead of the whole document, and chunks dedup
+    across versions *and* across instances.  ``chunk_replicas`` places
+    every chunk on that many region-server shards with digest-checked
+    read-repair (docs/SHARDING.md); ``None`` keeps a single store.
 
-    In both modes the pool also keeps, per live instance, the document
-    it last stored (the *held* document, see :meth:`store`,
-    :meth:`latest` and ``docs/STORAGE.md``): a read that finds exactly
-    what the pool itself wrote returns a copy of it instead of parsing
-    the stored bytes again.
+    The pool also keeps, per live instance, the document it last stored
+    (the *held* document, see :meth:`store`, :meth:`latest` and
+    ``docs/STORAGE.md``): a read that finds exactly the manifest the
+    pool itself wrote returns a copy of it instead of parsing the
+    stored bytes again.
     """
 
-    def __init__(self, hbase: SimHBase, delta: bool = False,
+    def __init__(self, hbase: SimHBase, *,
                  chunk_replicas: int | None = None) -> None:
         self.hbase = hbase
-        self.delta = delta
-        for table in (DOC_TABLE, TODO_TABLE):
+        for table in (DOC_TABLE, TODO_TABLE, MANIFEST_TABLE):
             if not hbase.has_table(table):
                 hbase.create_table(table)
-        self.chunks: CerChunkStore | None = None
-        if delta:
-            if chunk_replicas is not None:
-                # Factor-R chunk placement over one shard per region
-                # server, digest-checked read-repair on miss — see
-                # docs/SHARDING.md.
-                from .placement import ReplicatedChunkStore
+        self.chunks: CerChunkStore
+        if chunk_replicas is not None:
+            from .placement import ReplicatedChunkStore
 
-                self.chunks = ReplicatedChunkStore(
-                    hbase, shards=len(hbase.servers),
-                    replicas=chunk_replicas,
-                )
-            else:
-                self.chunks = CerChunkStore(hbase)
-            if not hbase.has_table(MANIFEST_TABLE):
-                hbase.create_table(MANIFEST_TABLE)
-        #: process id → (what was stored, the document stored): the
-        #: canonical bytes in full mode, the manifest's ``doc_digest``
-        #: in delta mode.  Private; see :meth:`_held_for`.
-        self._held: dict[str, tuple[bytes | str, Dra4wfmsDocument]] = {}
+            self.chunks = ReplicatedChunkStore(
+                hbase, shards=len(hbase.servers), replicas=chunk_replicas,
+            )
+        else:
+            self.chunks = CerChunkStore(hbase)
+        #: process id → (the stored manifest's ``doc_digest``, the
+        #: document stored).  Private; see :meth:`_held_for`.
+        self._held: dict[str, tuple[str, Dra4wfmsDocument]] = {}
 
     # -- replay guard ------------------------------------------------------------
 
@@ -136,17 +131,16 @@ class DocumentPool:
     # -- documents ----------------------------------------------------------------
 
     def _held_for(self, process_id: str,
-                  stored: bytes | str) -> Dra4wfmsDocument | None:
-        """The held document, if *stored* is exactly what it was stored as.
+                  doc_digest: str) -> Dra4wfmsDocument | None:
+        """The held document, if *doc_digest* is what it was stored as.
 
-        *stored* is what a read found in storage: the ``doc:latest``
-        bytes in full mode, the already digest-checked manifest's
-        ``doc_digest`` in delta mode.  Any other content (an edited
-        cell, a rolled-back manifest) answers ``None`` and the caller
-        parses what it read.
+        *doc_digest* is the ``doc_digest`` of the manifest a read found
+        in storage, already checked against the reassembled bytes.  Any
+        other manifest (an edited one, a rolled-back one) answers
+        ``None`` and the caller parses what it read.
         """
         held = self._held.get(process_id)
-        if held is not None and held[0] == stored:
+        if held is not None and held[0] == doc_digest:
             return held[1]
         return None
 
@@ -175,44 +169,6 @@ class DocumentPool:
                 f"process {process_id!r} was never registered; upload the "
                 f"initial document through a portal first"
             )
-        if self.delta:
-            return self._store_delta(document)
-        data = document.to_bytes()
-        row = self.hbase.get(DOC_TABLE, process_id)
-        if (_FAMILY_META, "retired") in row:
-            raise StorageError(
-                f"process {process_id!r} was retired from hot storage; "
-                f"its evidence lives in the archival bundle"
-            )
-        previous = row.get((_FAMILY_DOC, "latest"))
-        if previous is not None:
-            # Monotonicity guard: a process document only ever grows.
-            # Storing a copy that lost CERs is a rollback/truncation
-            # attack — the one alteration signature verification alone
-            # cannot catch, because a prefix of the cascade is itself a
-            # validly-signed document.
-            before = self._held_for(process_id, previous)
-            if before is None:
-                before = Dra4wfmsDocument.from_bytes(previous)
-            old_ids = {cer.cer_id for cer in before.cers()}
-            new_ids = {cer.cer_id for cer in document.cers()}
-            missing = old_ids - new_ids
-            if missing:
-                raise TamperDetected(
-                    f"submitted document for {process_id!r} is missing "
-                    f"previously stored CERs {sorted(missing)} "
-                    f"(rollback attack)"
-                )
-        seq = sum(1 for (family, _) in row if family == _FAMILY_HIST)
-        self.hbase.put(DOC_TABLE, process_id, _FAMILY_HIST, f"{seq:08d}",
-                       data)
-        self.hbase.put(DOC_TABLE, process_id, _FAMILY_DOC, "latest", data)
-        self._held[process_id] = (data, document.clone_for_append())
-        return seq
-
-    def _store_delta(self, document: Dra4wfmsDocument) -> int:
-        """Delta-mode store: new chunks + a manifest, not the document."""
-        process_id = document.process_id
         manifest, payloads = chunk_document(document)
         row = self.hbase.get(DOC_TABLE, process_id)
         if (_FAMILY_META, "retired") in row:
@@ -222,11 +178,13 @@ class DocumentPool:
             )
         previous = row.get((_FAMILY_DOC, "manifest"))
         if previous is not None:
-            # Monotonicity guard, chunk-level: every CER chunk of the
-            # previously stored version must reappear *byte-identical*
-            # in the new one.  Strictly stronger than the id-set check
-            # of full mode (it also catches a CER replaced in place),
-            # and O(chunk list) instead of O(parse document).
+            # Monotonicity guard: a process document only ever grows.
+            # Storing a copy that lost CERs is a rollback/truncation
+            # attack — the one alteration signature verification alone
+            # cannot catch, because a prefix of the cascade is itself a
+            # validly-signed document.  Every CER chunk of the previous
+            # version must reappear *byte-identical* in the new one, so
+            # a CER replaced in place is caught too, without a parse.
             old_cers = set(Manifest.from_bytes(previous).cer_digests)
             new_cers = set(manifest.cer_digests)
             missing = old_cers - new_cers
@@ -236,7 +194,6 @@ class DocumentPool:
                     f"{len(missing)} previously stored CER chunk(s) "
                     f"(rollback attack)"
                 )
-        assert self.chunks is not None
         self.chunks.put_chunks(payloads)
         # Every stored manifest version takes one reference on each
         # chunk it names; compaction/retirement releases them, and only
@@ -256,12 +213,10 @@ class DocumentPool:
                                   document.clone_for_append())
         return seq
 
-    # -- delta-mode accessors -----------------------------------------------
+    # -- manifests and chunks -----------------------------------------------
 
     def latest_manifest(self, process_id: str) -> Manifest:
-        """Manifest of the most recent stored version (delta mode only)."""
-        if not self.delta:
-            raise StorageError("pool is not in delta mode")
+        """Manifest of the most recent stored version."""
         row = self.hbase.get(DOC_TABLE, process_id)
         data = row.get((_FAMILY_DOC, "manifest"))
         if data is None:
@@ -270,8 +225,6 @@ class DocumentPool:
 
     def manifest_by_digest(self, doc_digest: str) -> Manifest | None:
         """Manifest of any stored version, by document digest, or None."""
-        if not self.delta:
-            raise StorageError("pool is not in delta mode")
         row = self.hbase.get(MANIFEST_TABLE, doc_digest)
         data = row.get(("m", "b"))
         if data is None:
@@ -279,7 +232,6 @@ class DocumentPool:
         return Manifest.from_bytes(data)
 
     def _fetch_chunks(self, manifest: Manifest) -> dict[str, bytes]:
-        assert self.chunks is not None
         fetched = self.chunks.get_chunks(manifest.chunk_digests)
         missing = [d for d in manifest.chunk_digests if d not in fetched]
         if missing:
@@ -295,61 +247,40 @@ class DocumentPool:
 
     def latest_bytes(self, process_id: str) -> bytes:
         """Canonical bytes of the most recent stored version."""
-        if self.delta:
-            return self.assemble_bytes(self.latest_manifest(process_id))
-        row = self.hbase.get(DOC_TABLE, process_id)
-        data = row.get((_FAMILY_DOC, "latest"))
-        if data is None:
-            raise StorageError(f"no document stored for {process_id!r}")
-        return data
+        return self.assemble_bytes(self.latest_manifest(process_id))
 
     def latest(self, process_id: str) -> Dra4wfmsDocument:
         """The most recent stored document of an instance.
 
-        Reads storage exactly as :meth:`latest_bytes` does (the
-        ``doc:latest`` cell in full mode; manifest, chunks and
-        :func:`~repro.document.delta.assemble`'s digest checks in delta
-        mode).  When what it read is what this pool last stored for the
+        Reads storage exactly as :meth:`latest_bytes` does: manifest,
+        chunks and :func:`~repro.document.delta.assemble`'s digest
+        checks.  When what it read is what this pool last stored for the
         instance, the result is ``clone_for_append()`` of the held
         document: memo-warm, its definition already parsed, and no
-        parse at all.  Any other content is parsed, in delta mode with
-        the canonical memo seeded from the digest-checked chunks.
+        parse at all.  Any other content is parsed, with the canonical
+        memo seeded from the digest-checked chunks.
 
         The result shares CER elements with the held document: append
         to it freely, but mutate only a
         :meth:`~repro.document.Dra4wfmsDocument.clone`.
         """
-        if self.delta:
-            manifest = self.latest_manifest(process_id)
-            fetched = self._fetch_chunks(manifest)
-            data = assemble(manifest, fetched)
-            held = self._held_for(process_id, manifest.doc_digest)
-            if held is not None:
-                return held.clone_for_append()
-            document = Dra4wfmsDocument.from_bytes(data)
-            seed_chunks(document, manifest, fetched)
-            return document
-        data = self.latest_bytes(process_id)
-        held = self._held_for(process_id, data)
+        manifest = self.latest_manifest(process_id)
+        fetched = self._fetch_chunks(manifest)
+        data = assemble(manifest, fetched)
+        held = self._held_for(process_id, manifest.doc_digest)
         if held is not None:
             return held.clone_for_append()
-        return Dra4wfmsDocument.from_bytes(data)
+        document = Dra4wfmsDocument.from_bytes(data)
+        seed_chunks(document, manifest, fetched)
+        return document
 
     def history(self, process_id: str) -> list[Dra4wfmsDocument]:
         """Every stored version, oldest first."""
         row = self.hbase.get(DOC_TABLE, process_id)
-        versions = sorted(
-            (qualifier, data) for (family, qualifier), data in row.items()
-            if family == _FAMILY_HIST
-        )
-        if self.delta:
-            return [
-                Dra4wfmsDocument.from_bytes(
-                    self.assemble_bytes(Manifest.from_bytes(data))
-                )
-                for _, data in versions
-            ]
-        return [Dra4wfmsDocument.from_bytes(data) for _, data in versions]
+        return [
+            Dra4wfmsDocument.from_bytes(self.assemble_bytes(manifest))
+            for _, manifest in self._hist_manifests(row)
+        ]
 
     def process_ids(self) -> list[str]:
         """All registered process ids."""
@@ -360,15 +291,10 @@ class DocumentPool:
     def summarize(self, process_id: str) -> ProcessSummary:
         """Metadata summary of one instance (no decryption)."""
         row = self.hbase.get(DOC_TABLE, process_id)
-        if self.delta:
-            data = row.get((_FAMILY_DOC, "manifest"))
-            if data is None:
-                raise StorageError(f"no document stored for {process_id!r}")
-            data = self.assemble_bytes(Manifest.from_bytes(data))
-        else:
-            data = row.get((_FAMILY_DOC, "latest"))
-            if data is None:
-                raise StorageError(f"no document stored for {process_id!r}")
+        manifest = row.get((_FAMILY_DOC, "manifest"))
+        if manifest is None:
+            raise StorageError(f"no document stored for {process_id!r}")
+        data = self.assemble_bytes(Manifest.from_bytes(manifest))
         document = Dra4wfmsDocument.from_bytes(data)
         completed = [
             cer for cer in document.cers(include_definition=False)
@@ -400,10 +326,9 @@ class DocumentPool:
                min_executions: int | None = None,
                include_archived: bool = False) -> list[ProcessSummary]:
         """Search pooled instances by metadata filters (AND semantics)."""
-        latest_cell = (_FAMILY_DOC, "manifest" if self.delta else "latest")
         out: list[ProcessSummary] = []
         for process_id, row in self.hbase.scan(DOC_TABLE):
-            if latest_cell not in row:
+            if (_FAMILY_DOC, "manifest") not in row:
                 continue
             if not include_archived and \
                     (_FAMILY_META, "archived") in row:
@@ -451,7 +376,7 @@ class DocumentPool:
         ]
 
     def compact(self, process_id: str) -> int:
-        """Collapse an instance's per-hop manifests into one (delta mode).
+        """Collapse an instance's per-hop manifests into one.
 
         Every intermediate version's manifest is dropped from the
         history and the manifest-by-digest index, and its chunk
@@ -461,14 +386,11 @@ class DocumentPool:
         The sealed final manifest stays both as ``doc:manifest`` and as
         the single remaining history cell.
         """
-        if not self.delta:
-            raise StorageError("manifest compaction requires delta mode")
         row = self.hbase.get(DOC_TABLE, process_id)
         final_bytes = row.get((_FAMILY_DOC, "manifest"))
         if final_bytes is None:
             raise StorageError(f"no document stored for {process_id!r}")
         final = Manifest.from_bytes(final_bytes)
-        assert self.chunks is not None
         stale = self._hist_manifests(row)[:-1]
         with self.hbase.clock.trace("pool.compact", "pool"):
             for _, manifest in stale:
@@ -485,7 +407,7 @@ class DocumentPool:
         return len(stale)
 
     def retire(self, process_id: str) -> None:
-        """Drop an archived instance from hot storage (delta mode).
+        """Drop an archived instance from hot storage.
 
         Releases every remaining chunk reference and deletes the
         instance's manifests, so the next :meth:`CerChunkStore.gc`
@@ -496,8 +418,6 @@ class DocumentPool:
         registered, so replayed initial documents are still rejected,
         and further stores are refused.
         """
-        if not self.delta:
-            raise StorageError("retire requires delta mode")
         row = self.hbase.get(DOC_TABLE, process_id)
         if (_FAMILY_META, "registered") not in row:
             raise StorageError(f"unknown process {process_id!r}")
@@ -509,7 +429,6 @@ class DocumentPool:
         self.release(process_id)
         if (_FAMILY_META, "retired") in row:
             return
-        assert self.chunks is not None
         history = self._hist_manifests(row)
         with self.hbase.clock.trace("pool.retire", "pool"):
             for _, manifest in history:
@@ -531,9 +450,6 @@ class DocumentPool:
 
     def gc(self) -> tuple[int, int]:
         """Sweep zero-reference chunks; ``(chunks_deleted, bytes)``."""
-        if not self.delta:
-            raise StorageError("chunk GC requires delta mode")
-        assert self.chunks is not None
         return self.chunks.gc()
 
     def flush_hot_tables(self) -> int:
@@ -545,12 +461,9 @@ class DocumentPool:
         the hot path stops paying to rewrite them on every put.
         Returns how many regions flushed.
         """
-        flushed = self.hbase.flush_table(DOC_TABLE)
-        if self.delta:
-            flushed += self.hbase.flush_table(MANIFEST_TABLE)
-        if self.chunks is not None:
-            flushed += self.chunks.flush()
-        return flushed
+        return (self.hbase.flush_table(DOC_TABLE)
+                + self.hbase.flush_table(MANIFEST_TABLE)
+                + self.chunks.flush())
 
     def purge(self, process_id: str) -> None:
         """Irreversibly delete an instance and its TO-DO entries.
@@ -562,16 +475,15 @@ class DocumentPool:
         if (_FAMILY_META, "registered") not in row:
             raise StorageError(f"unknown process {process_id!r}")
         self.release(process_id)
-        if self.delta and self.chunks is not None:
-            # Release the purged versions' chunk references and their
-            # by-digest index rows, or the refcounts would pin chunks
-            # of a document that no longer exists.
-            history = self._hist_manifests(row)
-            for _, manifest in history:
-                self.chunks.unpin(manifest.chunk_digests)
-            self.hbase.delete_rows(MANIFEST_TABLE, sorted({
-                manifest.doc_digest for _, manifest in history
-            }))
+        # Release the purged versions' chunk references and their
+        # by-digest index rows, or the refcounts would pin chunks of a
+        # document that no longer exists.
+        history = self._hist_manifests(row)
+        for _, manifest in history:
+            self.chunks.unpin(manifest.chunk_digests)
+        self.hbase.delete_rows(MANIFEST_TABLE, sorted({
+            manifest.doc_digest for _, manifest in history
+        }))
         self.hbase.delete_row(DOC_TABLE, process_id)
         self.hbase.put(DOC_TABLE, process_id, _FAMILY_META, "registered",
                        b"1")

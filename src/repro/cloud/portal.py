@@ -169,8 +169,6 @@ class PortalServer:
         retries with a full :meth:`retrieve`.
         """
         self._require(session)
-        if not self.pool.delta:
-            raise PortalError("this cloud does not serve delta transfers")
         with self.clock.trace("portal.retrieve_delta", "portal"):
             manifest = self.pool.latest_manifest(process_id)
             known: set[str] = set(also_have)
@@ -270,8 +268,6 @@ class PortalServer:
         retries with :meth:`submit` and the full bytes.
         """
         self._require(session)
-        if not self.pool.delta:
-            raise PortalError("this cloud does not accept delta transfers")
         with self.clock.trace("portal.submit_delta", "portal"):
             self.stats["bytes_in"] += delta.wire_bytes
             self.clock.advance(

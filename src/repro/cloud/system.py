@@ -19,6 +19,7 @@ from ..crypto.keys import KeyPair
 from ..crypto.pki import KeyDirectory
 from ..document.delta import (
     ChunkCache,
+    Manifest,
     decode_delta,
     encode_delta,
     seed_chunks,
@@ -78,16 +79,14 @@ class CloudSystem:
                 f"unknown placement scheme {placement!r} "
                 f"(expected 'round-robin' or 'ring')"
             )
-        if chunk_replicas is not None and not delta_routing:
-            raise CloudError(
-                "chunk_replicas only applies to delta routing (the "
-                "chunk store does not exist in full-document mode)"
-            )
         self.backend = backend or default_backend()
         self.directory = directory
-        #: When True the pool stores manifests + content-addressed CER
-        #: chunks, and clients ship/receive deltas (see docs/ROUTING.md).
-        #: Off by default — full-document routing, as before.
+        #: How every :class:`CloudClient` talks to its portal: whole
+        #: documents (``retrieve``/``submit``, the default) or deltas
+        #: (``retrieve_delta``/``submit_delta``: manifest plus the
+        #: chunks the other side lacks, see docs/ROUTING.md).  Storage
+        #: is the same either way: the pool always keeps manifests plus
+        #: content-addressed CER chunks.
         self.delta_routing = delta_routing
         #: When supplied, all portals and the TFC share this signature
         #: cache: a document verified at any front door costs only its
@@ -95,7 +94,7 @@ class CloudSystem:
         #: (default) keeps every verification cold.
         self.verify_cache = verify_cache
         #: LRU byte budget for every client's peer chunk cache (delta
-        #: mode).  ``None`` (default) keeps the historic unbounded
+        #: routing).  ``None`` (default) keeps the historic unbounded
         #: cache; 0 is a degenerate-but-legal budget (the cache still
         #: holds at least its most recent chunk).
         self.chunk_cache_bytes = chunk_cache_bytes
@@ -113,8 +112,7 @@ class CloudSystem:
             split_threshold_rows=split_threshold_rows,
             split_threshold_bytes=split_threshold_bytes,
         )
-        self.pool = DocumentPool(self.hbase, delta=delta_routing,
-                                 chunk_replicas=chunk_replicas)
+        self.pool = DocumentPool(self.hbase, chunk_replicas=chunk_replicas)
         self.notifier = NotificationService(clock=self.clock, network=WAN)
         self.tfc = TfcServer(
             tfc_keypair, directory, backend=self.backend,
@@ -187,19 +185,12 @@ class CloudSystem:
     # -- fleet monitoring (MapReduce jobs of §4.2) -------------------------------
 
     def _document_of_row(self, row) -> Dra4wfmsDocument | None:
-        """Latest document from a pool row, in either storage mode."""
-        data = row.get(("doc", "latest"))
-        if data is None and self.delta_routing:
-            manifest_bytes = row.get(("doc", "manifest"))
-            if manifest_bytes is not None:
-                from ..document.delta import Manifest
-
-                data = self.pool.assemble_bytes(
-                    Manifest.from_bytes(manifest_bytes)
-                )
-        if data is None:
+        """Latest document from a pool row (``None`` if none stored)."""
+        manifest = row.get(("doc", "manifest"))
+        if manifest is None:
             return None
-        return Dra4wfmsDocument.from_bytes(data)
+        return Dra4wfmsDocument.from_bytes(
+            self.pool.assemble_bytes(Manifest.from_bytes(manifest)))
 
     def activity_statistics(self) -> tuple[dict[str, int], JobStats]:
         """MapReduce: executions per activity across all instances."""
@@ -280,7 +271,7 @@ class CloudClient:
             for portal in self.system.portals:
                 self._login(portal)
             self.portal = self.system.portals[0]
-        #: Chunks this client holds (delta mode): everything the portal
+        #: Chunks this client holds (delta routing): everything the portal
         #: ever sent us plus everything we assembled locally — LRU-
         #: bounded when the cloud configures a byte budget.
         self.chunks = ChunkCache(max_bytes=self.system.chunk_cache_bytes)
@@ -340,7 +331,7 @@ class CloudClient:
     def retrieve_bytes(self, process_id: str) -> bytes:
         """Latest document bytes, moving only unseen chunks when possible.
 
-        Delta mode is one round trip: the request names the version
+        Delta routing is one round trip: the request names the version
         this client last received plus the digests of chunks it shipped
         itself on intervening submits, and the reply carries the latest
         manifest plus only the chunks not covered by either.  The
@@ -399,14 +390,13 @@ class CloudClient:
         return self._cloud_known
 
     def retrieve_document(self, process_id: str) -> Dra4wfmsDocument:
-        """Latest document, parsed — memo-warm in delta mode.
+        """Latest document, parsed — memo-warm under delta routing.
 
         Delta retrieves already digest-checked every chunk during
         reassembly, so the parsed document's canonical memo can be
         seeded from them: the AEA's clone/append/re-chunk work on this
         hop then touches only the new CER instead of re-serializing the
-        whole history.  Full-mode retrieves parse cold, exactly as
-        before.
+        whole history.  Whole-document retrieves parse cold.
         """
         data, manifest = self._retrieve(process_id)
         document = Dra4wfmsDocument.from_bytes(data)

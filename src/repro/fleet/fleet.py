@@ -109,7 +109,7 @@ class FleetConfig:
     #: report's ``metrics`` section without retaining span events
     #: (implied when *tracer* is set).
     collect_metrics: bool = False
-    #: Storage-lifecycle sweep cadence (delta routing only): every N
+    #: Storage-lifecycle sweep cadence (either routing): every N
     #: completed instances, archive + compact + retire the finished
     #: instances and GC zero-reference chunks, so hot storage stays
     #: O(live instances).  0 (default) disables the sweep entirely —
@@ -185,11 +185,6 @@ class Fleet:
         self._first_arrival: float | None = None
         self._last_completion = 0.0
         self._clients: dict[str, CloudClient] = {}
-        if config.gc_interval and not system.delta_routing:
-            raise FleetError(
-                "gc_interval requires delta routing (full-document "
-                "mode has no chunk store to collect)"
-            )
         #: Completed-but-not-yet-retired instances awaiting the sweep.
         self._retirable: list[str] = []
         self._trust_snapshot: dict[str, object] | None = None
@@ -487,14 +482,12 @@ class Fleet:
             self._audit(instance)
         if self._lifecycle is not None:
             self._retirable.append(instance.process_id)
-            store = self.system.pool.chunks
-            if store is not None:
-                # Sample the hot footprint at every completion, so the
-                # peak covers growth *between* sweeps too.
-                self._lifecycle["peak_hot_bytes"] = max(
-                    self._lifecycle["peak_hot_bytes"],
-                    store.stats["unique_bytes"],
-                )
+            # Sample the hot footprint at every completion, so the peak
+            # covers growth *between* sweeps too.
+            self._lifecycle["peak_hot_bytes"] = max(
+                self._lifecycle["peak_hot_bytes"],
+                self.system.pool.chunks.stats["unique_bytes"],
+            )
             if self._completed % self.config.gc_interval == 0:
                 self._lifecycle_sweep()
         arrivals = self.config.arrivals
@@ -617,9 +610,8 @@ class Fleet:
         reg.counter("audits_total").inc(self._audited)
         reg.counter("audit_failures_total").inc(self._audit_failures)
         store = self.system.pool.chunks
-        if store is not None:
-            for key, value in sorted(store.stats.items()):
-                reg.counter(f"chunk_store_{key}").inc(value)
+        for key, value in sorted(store.stats.items()):
+            reg.counter(f"chunk_store_{key}").inc(value)
         cache = self.system.verify_cache
         if cache is not None:
             reg.counter("verify_cache_hits_total").inc(cache.stats.hits)
@@ -637,11 +629,10 @@ class Fleet:
                 life["gc_chunks_deleted"])
             reg.counter("gc_bytes_reclaimed_total").inc(
                 life["gc_bytes_reclaimed"])
-            if store is not None:
-                reg.gauge("chunk_store_hot_bytes").set(
-                    store.stats["unique_bytes"])
-                reg.gauge("chunk_store_peak_hot_bytes").set(
-                    life["peak_hot_bytes"])
+            reg.gauge("chunk_store_hot_bytes").set(
+                store.stats["unique_bytes"])
+            reg.gauge("chunk_store_peak_hot_bytes").set(
+                life["peak_hot_bytes"])
         for name, station in sorted(self.stations.items()):
             m = station.metrics(horizon)
             reg.gauge("queue_depth_max", station=name).set(
@@ -660,7 +651,6 @@ class Fleet:
         horizon = self._last_completion if self._completed else self.now
         clients = self._clients.values()
         store = self.system.pool.chunks
-        chunk_stats = store.stats if store is not None else {}
         placement = self.system.placement
         placement_dict: dict[str, object] = {}
         storage: dict[str, int] = {}
@@ -683,12 +673,10 @@ class Fleet:
         lifecycle_dict: dict[str, object] = {}
         if self._lifecycle is not None:
             lifecycle_dict = dict(self._lifecycle)
-            if store is not None:
-                lifecycle_dict["hot_unique_bytes"] = \
-                    store.stats["unique_bytes"]
-                lifecycle_dict["hot_unique_chunks"] = \
-                    store.stats["unique_chunks"]
-                lifecycle_dict["store"] = dict(store.lifecycle)
+            lifecycle_dict["hot_unique_bytes"] = store.stats["unique_bytes"]
+            lifecycle_dict["hot_unique_chunks"] = \
+                store.stats["unique_chunks"]
+            lifecycle_dict["store"] = dict(store.lifecycle)
             lifecycle_dict["chunk_cache"] = {
                 "hits": sum(c.chunks.hits for c in clients),
                 "misses": sum(c.chunks.misses for c in clients),
@@ -705,7 +693,7 @@ class Fleet:
             routing="delta" if self.system.delta_routing else "full",
             bytes_to_cloud=sum(c.bytes_sent for c in clients),
             bytes_from_cloud=sum(c.bytes_received for c in clients),
-            chunk_store=dict(sorted(chunk_stats.items())),
+            chunk_store=dict(sorted(store.stats.items())),
             instances_started=self._started,
             instances_completed=self._completed,
             hops_executed=self._hops,
@@ -743,13 +731,13 @@ def build_fleet(workload: FleetWorkload,
     Enrolls the workload's identities plus the cloud's TFC, wires an
     (optionally) shared :class:`VerificationCache` through portals and
     TFC, and returns a ready-to-``run()`` :class:`Fleet`.  With
-    ``delta_routing`` the pool stores content-addressed CER chunks and
-    every client moves manifest + unseen chunks instead of full
-    documents (see docs/ROUTING.md).  ``placement="ring"`` turns on the
-    sharded portal tier: consistent-hash instance→portal pinning with
-    per-portal stations in the report; ``chunk_replicas`` additionally
-    replicates delta chunks factor-R over the region servers (see
-    docs/SHARDING.md).
+    ``delta_routing`` every client moves manifest + unseen chunks
+    instead of full documents (see docs/ROUTING.md); the pool stores
+    content-addressed CER chunks either way.  ``placement="ring"``
+    turns on the sharded portal tier: consistent-hash instance→portal
+    pinning with per-portal stations in the report; ``chunk_replicas``
+    additionally replicates the pool's chunks factor-R over the region
+    servers (see docs/SHARDING.md).
     """
     from ..workloads.participants import build_world
 

@@ -82,8 +82,8 @@ class RealFleetConfig:
     #: ``"ring"`` pins each instance to one portal by consistent hash
     #: (and reports instances-per-portal); default keeps round-robin.
     placement: str = "round-robin"
-    #: Factor-R replication of delta chunks over the region servers
-    #: (requires ``delta_routing``; ``None`` keeps the single store).
+    #: Factor-R replication of the pool's chunks over the region
+    #: servers (``None`` keeps the single store).
     chunk_replicas: int | None = None
     #: HBase region auto-split thresholds per per-instance cloud.
     split_threshold_rows: int = 256

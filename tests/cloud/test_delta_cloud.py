@@ -1,9 +1,9 @@
 """Delta transfers through the cloud stack: pool, portal, client.
 
-The cloud side of delta routing stores manifests plus content-addressed
-chunks and serves one-round-trip delta retrieves.  Everything here
-checks the two invariants the design hangs on: reassembled bytes are
-exactly the bytes full-mode storage would serve, and every failure mode
+The pool stores manifests plus content-addressed chunks, and portals
+serve one-round-trip delta retrieves from them.  Everything here checks
+the two invariants the design hangs on: reassembled bytes are exactly
+the bytes that were stored, and every failure mode
 (missing chunk, over-assumed cache, rollback) either falls back to a
 full transfer or raises — never silently corrupts.
 """
@@ -16,8 +16,8 @@ from repro.cloud import CloudSystem, run_process_in_cloud
 from repro.cloud.hbase import CerChunkStore, SimHBase
 from repro.cloud.pool import DocumentPool
 from repro.document import build_initial_document, verify_document
-from repro.document.delta import chunk_document
-from repro.errors import DeltaError, PortalError, TamperDetected
+from repro.document.delta import assemble, chunk_document
+from repro.errors import DeltaError, TamperDetected
 from repro.workloads.figure9 import DESIGNER, PARTICIPANTS, figure9_responders
 
 TFC = "tfc@cloud.example"
@@ -47,7 +47,7 @@ def initial(world, fig9b, backend):
 class TestDeltaPool:
     @pytest.fixture()
     def pool(self):
-        return DocumentPool(SimHBase(region_servers=2), delta=True)
+        return DocumentPool(SimHBase(region_servers=2))
 
     def test_round_trips_byte_identical(self, pool, fig9a_trace):
         early = fig9a_trace.steps[0].document
@@ -156,12 +156,20 @@ class TestDeltaProtocol:
         assert sum(s["delta_submissions"] for s in portal_stats) >= 1
         assert sum(s["delta_fallbacks"] for s in portal_stats) == 0
 
-    def test_full_cloud_refuses_delta_retrieve(self, full_system, world,
-                                               initial):
+    def test_full_cloud_serves_delta_retrieve(self, full_system, world,
+                                              initial):
+        """Routing picks the wire protocol only: a cloud whose clients
+        move whole documents still stores chunks, so its portals serve
+        a delta retrieve of the same bytes."""
         designer = full_system.client(world.keypair(DESIGNER))
         pid = designer.upload_initial(initial)
-        with pytest.raises(PortalError, match="does not serve delta"):
-            designer.portal.retrieve_delta(designer.session, pid)
+        delta = designer.portal.retrieve_delta(designer.session, pid)
+        assert delta.manifest.doc_digest == \
+            full_system.pool.latest_manifest(pid).doc_digest
+        assert set(delta.chunks) == set(delta.manifest.chunk_digests)
+        assert assemble(delta.manifest, delta.chunks) == \
+            initial.to_bytes() == \
+            designer.portal.retrieve(designer.session, pid)
 
     def test_over_assumed_submit_falls_back(self, delta_system, world,
                                             backend, initial):

@@ -1,11 +1,13 @@
 """The pool's held document: what it last stored for each live instance.
 
 ``DocumentPool.latest`` returns a copy of the held document only when
-storage still holds exactly what the pool wrote; every test here runs
-in both storage modes and checks that the shortcut changes no byte and
-no verdict: reads equal cold parses, edited storage is served (and
-rejected) as before, rollbacks are still caught, appends by callers do
-not leak into the pool, and finished instances are not held.
+storage still holds exactly the manifest the pool wrote; every test
+here checks that the shortcut changes no byte and no verdict: reads
+equal cold parses, edited storage is served (and rejected) as before,
+rollbacks are still caught, appends by callers do not leak into the
+pool, and finished instances are not held.  Every test except the
+corrupt-chunk one runs under both wire protocols (whole documents and
+deltas), reading back what a portal of that routing serves.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from repro.cloud.hbase import CerChunkStore, SimHBase
 from repro.cloud.pool import DOC_TABLE, DocumentPool
 from repro.document import Dra4wfmsDocument, build_initial_document
 from repro.document.cer import CER
-from repro.document.delta import chunk_document
+from repro.document.delta import assemble, chunk_document
 from repro.errors import DeltaError, PortalError
 from repro.fleet import ClosedLoop, FleetConfig, build_fleet, workload_from_spec
 from repro.security.attacks import rollback_dra_document
@@ -27,8 +29,8 @@ from repro.workloads.figure9 import DESIGNER, PARTICIPANTS, figure9_responders
 
 TFC = "tfc@cloud.example"
 
-MODES = pytest.mark.parametrize("delta", [False, True],
-                                ids=["full", "delta"])
+ROUTINGS = pytest.mark.parametrize("delta", [False, True],
+                                   ids=["full", "delta"])
 
 
 @pytest.fixture()
@@ -52,14 +54,23 @@ def cold(data: bytes) -> bytes:
 
 def superuser_edit(pool: DocumentPool, edited: Dra4wfmsDocument) -> None:
     """Rewrite the instance's latest version behind the pool's back."""
-    pid = edited.process_id
-    if pool.delta:
-        manifest, payloads = chunk_document(edited)
-        pool.chunks.put_chunks(payloads)
-        pool.hbase.put(DOC_TABLE, pid, "doc", "manifest",
-                       manifest.to_bytes())
-    else:
-        pool.hbase.put(DOC_TABLE, pid, "doc", "latest", edited.to_bytes())
+    manifest, payloads = chunk_document(edited)
+    pool.chunks.put_chunks(payloads)
+    pool.hbase.put(DOC_TABLE, edited.process_id, "doc", "manifest",
+                   manifest.to_bytes())
+
+
+def served(pool: DocumentPool, process_id: str, delta: bool) -> bytes:
+    """The latest version as a portal of that routing serves it.
+
+    Whole-document routing sends the pool's reassembled bytes; delta
+    routing sends the latest manifest and its chunks, which a client
+    holding nothing reassembles itself.
+    """
+    if not delta:
+        return pool.latest_bytes(process_id)
+    manifest = pool.latest_manifest(process_id)
+    return assemble(manifest, pool.chunks.get_chunks(manifest.chunk_digests))
 
 
 def edit_a_cipher_value(document: Dra4wfmsDocument) -> Dra4wfmsDocument:
@@ -87,10 +98,10 @@ def start(system, world, fig9b, backend):
 
 
 class TestReads:
-    @MODES
+    @ROUTINGS
     def test_latest_equals_stored_and_cold_after_every_store(
             self, delta, fig9a_trace, parses):
-        pool = DocumentPool(SimHBase(region_servers=2), delta=delta)
+        pool = DocumentPool(SimHBase(region_servers=2))
         pid = fig9a_trace.final_document.process_id
         pool.register_process(pid)
         stored_ids: set[str] = set()
@@ -107,8 +118,9 @@ class TestReads:
             assert len(parses) == before
             assert latest.to_bytes() == stored == cold(stored)
             assert stored == step.document.to_bytes()
+            assert served(pool, pid, delta) == stored
 
-    @MODES
+    @ROUTINGS
     def test_cloud_hops_read_held_copies(self, delta, world, fig9b,
                                          backend):
         system = system_for(world, backend, delta)
@@ -125,7 +137,7 @@ class TestReads:
         assert cold(system.pool.latest_bytes(pid)) == \
             system.pool.latest(pid).to_bytes()
 
-    @MODES
+    @ROUTINGS
     def test_edited_storage_is_served_and_merge_rejects_it(
             self, delta, world, fig9b, backend):
         system = system_for(world, backend, delta)
@@ -151,7 +163,7 @@ class TestReads:
         assert system.pool.latest_bytes(pid) == edited.to_bytes()
 
     def test_corrupt_chunk_still_raises(self, fig9a_trace):
-        pool = DocumentPool(SimHBase(region_servers=2), delta=True)
+        pool = DocumentPool(SimHBase(region_servers=2))
         final = fig9a_trace.final_document
         pool.register_process(final.process_id)
         pool.store(final)
@@ -166,34 +178,25 @@ class TestReads:
 
 
 class TestWrites:
-    @MODES
+    @ROUTINGS
     def test_rollback_attack_detected_through_held_copy(
-            self, delta, fig9a_trace, world, backend, monkeypatch):
-        pool = DocumentPool(SimHBase(region_servers=1), delta=delta)
+            self, delta, fig9a_trace, world, backend):
+        pool = DocumentPool(SimHBase(region_servers=1))
         final = fig9a_trace.final_document
         pool.register_process(final.process_id)
         pool.store(final)
-        answers = []
-        held_for = pool._held_for
-
-        def recording(process_id, stored):
-            answers.append(held_for(process_id, stored))
-            return answers[-1]
-
-        monkeypatch.setattr(pool, "_held_for", recording)
         outcome = rollback_dra_document(final, world.directory, pool=pool,
                                         backend=backend)
         assert outcome.detected and not outcome.succeeded
         assert "rollback" in outcome.detail
-        if not delta:
-            # The guard took the old CER ids from the held copy.
-            assert answers and answers[0] is not None
         assert pool.latest_bytes(final.process_id) == final.to_bytes()
+        assert pool.latest(final.process_id).to_bytes() == final.to_bytes()
+        assert served(pool, final.process_id, delta) == final.to_bytes()
 
-    @MODES
+    @ROUTINGS
     def test_appends_by_callers_do_not_reach_the_pool(self, delta,
                                                       fig9a_trace):
-        pool = DocumentPool(SimHBase(region_servers=2), delta=delta)
+        pool = DocumentPool(SimHBase(region_servers=2))
         early = fig9a_trace.steps[0].document.clone()
         final = fig9a_trace.final_document
         pid = final.process_id
@@ -210,12 +213,13 @@ class TestWrites:
         pool.latest(pid).append_cer(next_cer())
         latest = pool.latest(pid)
         assert latest.to_bytes() == stored == cold(stored)
+        assert served(pool, pid, delta) == stored
         assert len(latest.cers()) == len(Dra4wfmsDocument.from_bytes(
             stored).cers())
 
 
 class TestRelease:
-    @MODES
+    @ROUTINGS
     def test_finished_and_managed_instances_are_not_held(
             self, delta, world, fig9b, backend):
         system = system_for(world, backend, delta)
@@ -236,21 +240,19 @@ class TestRelease:
         assert set(pool._held) == {third}
         pool.purge(third)
         assert pool._held == {}
-        if delta:
-            fourth, _ = start(system, world, fig9b, backend)
-            pool.archive(fourth)
-            # An archived instance may still be stored to, and held ...
-            pool.store(pool.latest(fourth))
-            assert set(pool._held) == {fourth}
-            # ... until it is retired.
-            pool.retire(fourth)
-            assert pool._held == {}
+        fourth, _ = start(system, world, fig9b, backend)
+        pool.archive(fourth)
+        # An archived instance may still be stored to, and held ...
+        pool.store(pool.latest(fourth))
+        assert set(pool._held) == {fourth}
+        # ... until it is retired.
+        pool.retire(fourth)
+        assert pool._held == {}
 
-    @MODES
+    @ROUTINGS
     def test_no_entries_after_fleet_run(self, delta):
         config = FleetConfig(arrivals=ClosedLoop(instances=6, concurrency=3),
-                             seed=3, audit_every=2,
-                             gc_interval=2 if delta else 0)
+                             seed=3, audit_every=2, gc_interval=2)
         fleet = build_fleet(workload_from_spec("fig9"), config,
                             delta_routing=delta)
         report = fleet.run()

@@ -209,7 +209,7 @@ class TestStatsInvariants:
 class TestPoolLifecycle:
     @pytest.fixture()
     def pool(self):
-        return DocumentPool(SimHBase(region_servers=2), delta=True)
+        return DocumentPool(SimHBase(region_servers=2))
 
     @pytest.fixture()
     def stored(self, pool, fig9a_trace):
@@ -341,19 +341,6 @@ class TestPoolLifecycle:
         assert deleted > 0
         assert pool.chunks.stats["unique_chunks"] == 0
 
-    def test_lifecycle_requires_delta_mode(self, fig9a_trace):
-        pool = DocumentPool(SimHBase(region_servers=2))
-        final = fig9a_trace.final_document
-        pool.register_process(final.process_id)
-        pool.store(final)
-        with pytest.raises(StorageError, match="delta mode"):
-            pool.compact(final.process_id)
-        pool.archive(final.process_id)
-        with pytest.raises(StorageError, match="delta mode"):
-            pool.retire(final.process_id)
-        with pytest.raises(StorageError, match="delta mode"):
-            pool.gc()
-
     def test_region_data_bytes_shrink_after_lifecycle(self, pool, stored):
         process_id, _ = stored
         hb = pool.hbase
@@ -447,3 +434,29 @@ class TestChurnWithGc:
         assert sum(s["delta_submissions"] for s in stats) \
             == self.INSTANCES * len(definition.activities)
         assert sum(s["delta_fallbacks"] for s in stats) == 0
+
+
+class TestFleetSweep:
+    def test_full_routing_sweep_drains_hot_store(self):
+        """The lifecycle sweep needs the chunk store, not delta routing:
+        a fleet whose clients move whole documents retires, archives
+        and collects exactly as a delta-routed one does."""
+        from repro.fleet import (
+            ClosedLoop, FleetConfig, build_fleet, workload_from_spec,
+        )
+
+        bundles: dict[str, object] = {}
+        config = FleetConfig(
+            arrivals=ClosedLoop(instances=10, concurrency=3), seed=7,
+            audit_every=3, gc_interval=5,
+            archive_sink=lambda pid, bundle: bundles.setdefault(pid, bundle))
+        report = build_fleet(workload_from_spec("chain:4:2"), config).run()
+        assert report.routing == "full"
+        assert report.instances_completed == 10
+        assert report.audit_failures == 0
+        life = report.lifecycle
+        assert life["instances_retired"] == 10
+        assert life["gc_chunks_deleted"] > 0
+        assert life["peak_hot_bytes"] > 0
+        assert life["hot_unique_bytes"] == 0
+        assert len(bundles) == 10

@@ -6,7 +6,9 @@ import pytest
 
 from repro.cloud.placement import PortalPlacement
 from repro.cloud.system import CloudSystem
+from repro.document import build_initial_document
 from repro.errors import CloudError
+from repro.workloads.generator import auto_responders, chain_definition
 from repro.workloads.participants import build_world
 
 
@@ -74,10 +76,6 @@ class TestSystemValidation:
         with pytest.raises(CloudError, match="placement"):
             make_system(world, placement="random")
 
-    def test_replicas_require_delta(self, world):
-        with pytest.raises(CloudError, match="delta"):
-            make_system(world, chunk_replicas=2)
-
 
 class TestSystemRouting:
     def test_round_robin_has_no_ring(self, world):
@@ -99,3 +97,19 @@ class TestSystemRouting:
         system = make_system(world, portals=3, placement="ring")
         client = system.client(world.keypair("a@x"))
         assert len(client._sessions) == 3
+
+    def test_full_routing_replicates_and_read_repairs(self, world):
+        system = make_system(world, chunk_replicas=2)
+        assert not system.delta_routing
+        definition = chain_definition(2, participants=["a@x"],
+                                      designer="a@x")
+        client = system.client(world.keypair("a@x"))
+        pid = client.upload_initial(build_initial_document(
+            definition, world.keypair("a@x"), backend=world.backend))
+        client.execute(pid, "A0", auto_responders(definition)["A0"])
+        stored = system.pool.latest_bytes(pid)
+        digest = system.pool.latest_manifest(pid).cer_digests[-1]
+        system.pool.chunks.damage_replica(digest, shard_index=0,
+                                          corrupt=True)
+        assert system.pool.latest_bytes(pid) == stored
+        assert system.pool.chunks.stats["read_repairs"] == 1

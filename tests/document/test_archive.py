@@ -172,7 +172,7 @@ class TestExportFromPool:
                                                backend):
         """The intended lifecycle: archive the evidence, then drop the
         instance from hot storage — the bundle still verifies."""
-        pool = DocumentPool(SimHBase(region_servers=2), delta=True)
+        pool = DocumentPool(SimHBase(region_servers=2))
         final = fig9a_trace.final_document
         pool.register_process(final.process_id)
         pool.store(final)
